@@ -9,7 +9,6 @@ performed.
 
 from .algebra import (
     And,
-    CertaintyFactor,
     Expr,
     Not,
     Or,
@@ -57,14 +56,12 @@ from .model import (
     RuleBase,
     TrainingObject,
     Violation,
-    downstream_closure,
     load_dataset,
     load_rulebase,
     parse,
     save_dataset,
     save_rulebase,
     serialize,
-    topological_order,
     validate,
     validate_dataset,
 )

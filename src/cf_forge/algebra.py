@@ -23,22 +23,6 @@ CF_MIN = -1.0
 CF_MAX = 1.0
 
 
-class CertaintyFactor(float):
-    """A float constrained to [-1, +1] at construction.
-
-    Subclassing float keeps arithmetic painless; results of arithmetic decay
-    to plain floats, and the engine re-clamps where rounding could drift.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value: float) -> "CertaintyFactor":
-        v = float(value)
-        if not (CF_MIN <= v <= CF_MAX):  # also rejects NaN
-            raise ValueError(f"certainty factor out of range [-1, +1]: {value!r}")
-        return super().__new__(cls, v)
-
-
 def is_cf(x: float) -> bool:
     """True when x is a valid certainty factor (rejects NaN and infinities)."""
     return CF_MIN <= x <= CF_MAX

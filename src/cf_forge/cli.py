@@ -18,6 +18,7 @@ from pathlib import Path
 from .errors import CfForgeError
 from .metric import PenaltyConfig, accuracy, margin_metric, penalty
 from .model import (
+    decode_json,
     load_dataset,
     load_rulebase,
     save_dataset,
@@ -43,17 +44,20 @@ def _default_seed() -> int:
 
 
 def _write_json(doc, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(doc, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _emit(doc, out: str | None) -> None:
     if out:
         _write_json(doc, out)
     else:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
 
 
 def cmd_gen(args) -> int:
+    if not (0.0 <= args.holdout < 1.0):  # also rejects NaN
+        raise ValueError(f"--holdout must be in [0, 1), got {args.holdout!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.shape:
@@ -181,7 +185,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    trace = TrainingTrace.from_dict(json.loads(Path(args.trace).read_text(encoding="utf-8")))
+    trace = TrainingTrace.from_dict(decode_json(Path(args.trace).read_text(encoding="utf-8")))
     verdict = audit_budget(trace)
     b = trace.budget
     _emit(
@@ -236,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multi-start", type=int, default=1)
     p.add_argument("--mu", type=float, default=10.0, help="soft-bound penalty coefficient")
     p.add_argument("--tau", type=float, default=0.0, help="rule firing threshold")
-    p.add_argument("--threads", type=int, default=1,
-                   help="concurrency cap (results are identical at any value)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a rule base against a dataset")
@@ -269,9 +271,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 2
         return args.func(args)
     except (CfForgeError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -8,11 +8,9 @@ weight x antecedent CF, is pooled into the consequent's CF.
 re-fires only that rule and the rules downstream of its consequent.  Each
 affected proposition is refolded from its stored contribution list in the
 static topological order of its incoming rules, which replays exactly the
-fold sequence a full pass would execute.  Incremental results are therefore
-bit-identical to a fresh full pass, except where propagation is cut off
-because a proposition moved by less than ``propagation_cutoff`` (pure
-floating-point noise); that slack is far inside the engine's 1e-12
-equivalence budget.
+fold sequence a full pass would execute.  Propagation stops only where a
+proposition's CF is bitwise unchanged, so incremental results are
+bit-identical to a fresh full pass.
 
 Evaluations of distinct objects are independent; a single ObjectEvaluation
 is single-owner mutable state.
@@ -35,20 +33,13 @@ class FiringPolicy:
     threshold: a rule fires only when its antecedent CF is strictly above
     this value (default 0.0; raising it introduces discontinuities into the
     objective-over-weights surface for deep bases, so train with care).
-
-    propagation_cutoff: incremental propagation stops along branches whose
-    proposition CF changed by less than this (0.0 means propagate any
-    bitwise change).
     """
 
     threshold: float = 0.0
-    propagation_cutoff: float = 1e-15
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.threshold < 1.0):
+        if not (0.0 <= self.threshold < 1.0):  # also rejects NaN
             raise ValueError(f"firing threshold must be in [0, 1): {self.threshold!r}")
-        if self.propagation_cutoff < 0.0:
-            raise ValueError("propagation_cutoff must be >= 0")
 
 
 DEFAULT_POLICY = FiringPolicy()
@@ -83,22 +74,13 @@ class ObjectEvaluation:
         self.contributions: dict[str, dict[str, float]] = {}
         self.counters = EvalCounters()
 
-    def contribution(self, rb: RuleBase, rule_id: str) -> float | None:
-        """The rule's current contribution, or None when it is not firing."""
-        rule = rb.rule(rule_id)
-        return self.contributions.get(rule.consequent, {}).get(rule_id)
-
     def class_cfs(self, rb: RuleBase) -> dict[str, float]:
         return {cid: self.prop_cf[cid] for cid in rb.output_classes}
 
     def check_consistent(self, rb: RuleBase) -> None:
         """Verify the refold invariant; raises InconsistentState."""
         for prop_id, bucket in self.contributions.items():
-            acc = 0.0
-            for rid in rb.incoming_rules(prop_id):
-                c = bucket.get(rid)
-                if c is not None:
-                    acc = combine_parallel(acc, c)
+            acc = _refold(rb, bucket, prop_id)
             if acc != self.prop_cf[prop_id]:
                 raise InconsistentState(
                     f"object {self.object_id!r}: proposition {prop_id!r} CF "
@@ -183,7 +165,6 @@ def perturb_weight(
     if a is None:
         raise InconsistentState(f"no antecedent recorded for rule {rule_id!r}")
     threshold = policy.threshold
-    cutoff = policy.propagation_cutoff
     bucket = state.contributions.get(rule.consequent)
     if bucket is None:
         raise InconsistentState(f"no contribution bucket for proposition {rule.consequent!r}")
@@ -200,8 +181,7 @@ def perturb_weight(
     old_cf = prop_cf[rule.consequent]
     new_cf = _refold(rb, bucket, rule.consequent)
     prop_cf[rule.consequent] = new_cf
-    delta = new_cf - old_cf
-    if delta == 0.0 or abs(delta) < cutoff:
+    if new_cf == old_cf:
         state.counters.rules_fired += fired
         return fired
     changed = {rule.consequent}
@@ -222,8 +202,7 @@ def perturb_weight(
         old2 = prop_cf[r.consequent]
         new2 = _refold(rb, b2, r.consequent)
         prop_cf[r.consequent] = new2
-        d2 = new2 - old2
-        if d2 != 0.0 and abs(d2) >= cutoff:
+        if new2 != old2:
             changed.add(r.consequent)
     state.counters.rules_fired += fired
     return fired
@@ -238,7 +217,7 @@ def restore_weight(
 ) -> int:
     """Inverse of perturb_weight: re-fires the same downstream set back to
     the original weight; after perturb-then-restore the state matches the
-    original bit for bit (modulo the propagation cutoff)."""
+    original bit for bit."""
     return perturb_weight(state, rb, rule_id, old_weight, policy)
 
 

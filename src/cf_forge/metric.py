@@ -16,6 +16,7 @@ be used as a training objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -44,8 +45,10 @@ class PenaltyConfig:
     coefficient: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.coefficient < 0.0:
-            raise ValueError("penalty coefficient must be >= 0")
+        if not (math.isfinite(self.coefficient) and self.coefficient >= 0.0):
+            raise ValueError(
+                f"penalty coefficient must be finite and >= 0, got {self.coefficient!r}"
+            )
 
 
 def margin_metric(

@@ -18,7 +18,7 @@ Rule base (UTF-8 JSON)::
                   "bound_kind": "hard"|"soft", "trainable": bool} ] }
 
     EXPR ::= "<prop-id>" | {"and":[EXPR,...]} | {"or":[EXPR,...]}
-           | {"not": EXPR}
+           | {"not": EXPR}            (at most MAX_EXPR_DEPTH operators deep)
 
 ``bounds``, ``bound_kind`` and ``trainable`` default to [-1, 1], "hard"
 and true.  Dataset files are JSON Lines, one object per line::
@@ -47,6 +47,12 @@ KINDS = (INPUT, DERIVED)
 HARD = "hard"
 SOFT = "soft"
 BOUND_KINDS = (HARD, SOFT)
+
+# Deepest antecedent nesting a rule-base file may hold.  The walkers over
+# Expr trees (evaluation, validation, serialization, copy.deepcopy) recurse
+# several Python frames per level; this keeps them far below the default
+# recursion limit of 1000 while exceeding any hand-written antecedent.
+MAX_EXPR_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -190,9 +196,22 @@ class RuleBase:
         return order
 
     def _ensure_graph(self) -> None:
+        """Build every graph cache in one Kahn pass: rule a -> rule b when
+        b's antecedent reads a's consequent.  Unknown proposition
+        references contribute no edges."""
         if self._topo is not None:
             return
-        refs, producers, out, indeg = _rule_edges(self.rules)
+        refs = {r.id: referenced_props(r.antecedent) for r in self.rules}
+        producers: dict[str, list[str]] = {}
+        for r in self.rules:
+            producers.setdefault(r.consequent, []).append(r.id)
+        out: dict[str, list[str]] = {r.id: [] for r in self.rules}
+        indeg = {r.id: 0 for r in self.rules}
+        for b in self.rules:
+            for p in sorted(refs[b.id]):
+                for a_id in producers.get(p, ()):
+                    out[a_id].append(b.id)
+                    indeg[b.id] += 1
         ready = [rid for rid, d in indeg.items() if d == 0]
         heapq.heapify(ready)
         topo: list[str] = []
@@ -213,23 +232,6 @@ class RuleBase:
         self._incoming = {
             p: tuple(sorted(ids, key=pos.__getitem__)) for p, ids in producers.items()
         }
-
-
-def _rule_edges(rules: Sequence[Rule]):
-    """Shared edge construction: rule a -> rule b when b's antecedent reads
-    a's consequent.  Unknown proposition references contribute no edges."""
-    refs = {r.id: referenced_props(r.antecedent) for r in rules}
-    producers: dict[str, list[str]] = {}
-    for r in rules:
-        producers.setdefault(r.consequent, []).append(r.id)
-    out: dict[str, list[str]] = {r.id: [] for r in rules}
-    indeg = {r.id: 0 for r in rules}
-    for b in rules:
-        for p in sorted(refs[b.id]):
-            for a_id in producers.get(p, ()):
-                out[a_id].append(b.id)
-                indeg[b.id] += 1
-    return refs, producers, out, indeg
 
 
 def _find_cycle(out: dict[str, list[str]], stuck: list[str]) -> list[str]:
@@ -283,9 +285,10 @@ def validate(rb: RuleBase) -> list[Violation]:
             violations.append(
                 Violation("InvalidBoundKind", f"rule {r.id!r} bound_kind {r.bound_kind!r}")
             )
-    cycle = _detect_cycle(rb.rules)
-    if cycle:
-        violations.append(Violation("CyclicDependency", " -> ".join(cycle)))
+    try:
+        rb.topological_order()
+    except CyclicDependency as e:
+        violations.append(Violation("CyclicDependency", str(e)))
     if not any(p.output_class for p in rb.propositions.values()):
         violations.append(Violation("NoOutputClass", "no output-class proposition declared"))
     return violations
@@ -315,33 +318,6 @@ def _check_expr(rb: RuleBase, r: Rule) -> list[Violation]:
     return violations
 
 
-def _detect_cycle(rules: Sequence[Rule]) -> list[str] | None:
-    _, _, out, indeg = _rule_edges(rules)
-    ready = [rid for rid, d in indeg.items() if d == 0]
-    done = 0
-    while ready:
-        rid = ready.pop()
-        done += 1
-        for nxt in out[rid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if done == len(rules):
-        return None
-    stuck = [rid for rid, d in indeg.items() if d > 0]
-    return _find_cycle(out, stuck)
-
-
-def topological_order(rb: RuleBase) -> tuple[str, ...]:
-    """Module-level alias of RuleBase.topological_order."""
-    return rb.topological_order()
-
-
-def downstream_closure(rb: RuleBase, rule_id: str) -> frozenset[str]:
-    """Module-level alias of RuleBase.downstream_closure."""
-    return rb.downstream_closure(rule_id)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -358,18 +334,22 @@ def expr_to_json(expr: Expr):
     raise TypeError(f"not an antecedent expression: {expr!r}")
 
 
-def expr_from_json(doc, where: str) -> Expr:
+def expr_from_json(doc, where: str, depth: int = 0) -> Expr:
+    """Decode an antecedent nested ``depth`` operators below the rule's
+    ``if``; nesting beyond MAX_EXPR_DEPTH raises ParseError."""
     if isinstance(doc, str):
         return Ref(doc)
+    if depth >= MAX_EXPR_DEPTH:
+        raise ParseError(f"antecedent nested deeper than {MAX_EXPR_DEPTH} operators", where)
     if isinstance(doc, dict) and len(doc) == 1:
         op, body = next(iter(doc.items()))
         if op == "not":
-            return Not(expr_from_json(body, f"{where}.not"))
+            return Not(expr_from_json(body, f"{where}.not", depth + 1))
         if op in ("and", "or"):
             if not isinstance(body, list):
                 raise ParseError(f"{op!r} expects a list", where)
             members = tuple(
-                expr_from_json(m, f"{where}.{op}[{i}]") for i, m in enumerate(body)
+                expr_from_json(m, f"{where}.{op}[{i}]", depth + 1) for i, m in enumerate(body)
             )
             return And(members) if op == "and" else Or(members)
     raise ParseError(f"malformed antecedent expression {doc!r}", where)
@@ -462,15 +442,22 @@ def serialize(rb: RuleBase) -> str:
     return json.dumps(to_dict(rb), indent=2) + "\n"
 
 
+def decode_json(text: str, where: str | None = None):
+    """json.loads with every decoding failure raised as ParseError, located
+    at ``where`` or else at the decoder's line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(e.msg, where or f"line {e.lineno} col {e.colno}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply to decode", where or "$") from None
+
+
 def parse(text: str, check: bool = True) -> RuleBase:
     """Parse a rule-base document.  Structural problems raise ParseError
     with a field location; invariant violations raise ValidationError
     unless check is False."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(e.msg, f"line {e.lineno} col {e.colno}") from None
-    return from_dict(doc, check=check)
+    return from_dict(decode_json(text), check=check)
 
 
 def save_rulebase(rb: RuleBase, path) -> None:
@@ -503,10 +490,7 @@ def load_dataset(path) -> list[TrainingObject]:
             if not line.strip():
                 continue
             where = f"line {lineno}"
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(e.msg, where) from None
+            doc = decode_json(line, where)
             if not isinstance(doc, dict):
                 raise ParseError("object must be a JSON object", where)
             oid = _take(doc, "id", where, str)

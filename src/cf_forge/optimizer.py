@@ -11,11 +11,10 @@ sequence never increases.
 Gradient probes displace one weight at a time, so with incremental
 re-evaluation enabled (``use_tms``) each probe re-fires only the perturbed
 rule's downstream closure per object; probes then cost O(closure) firings
-instead of a full pass.  Probe propagation uses an exact (bitwise) change
-cutoff, which makes the incremental gradient equal the full-evaluation
-gradient bit for bit: the speedup is never a semantics change.  Line-search
-candidates move every trainable weight at once, so those are full passes
-and are accounted separately.
+instead of a full pass.  The engine is exact, which makes the incremental
+gradient equal the full-evaluation gradient bit for bit: the speedup is
+never a semantics change.  Line-search candidates move every trainable
+weight at once, so those are full passes and are accounted separately.
 
 Accounting: ``probe_evals`` counts one per (rule, object) probe (two per
 pair for non-degenerate central differences).  In naive forward mode every
@@ -28,14 +27,15 @@ in their own field and excluded by definition.
 from __future__ import annotations
 
 import copy
+import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 from .engine import FiringPolicy, ObjectEvaluation, evaluate_full, perturb_weight, restore_weight
-from .errors import EmptyDataset, NoTrainableRules
+from .errors import EmptyDataset, NoTrainableRules, ParseError
 from .metric import MetricFn, PenaltyConfig, margin_metric, penalty
-from .model import HARD, Rule, RuleBase, TrainingObject
+from .model import HARD, Rule, RuleBase, TrainingObject, _take
 
 
 @dataclass
@@ -59,6 +59,9 @@ class OptimizerConfig:
     train_only: tuple[str, ...] | None = None  # None trains every trainable rule
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.fd_eps <= 0.0:
             raise ValueError("fd_eps must be > 0")
         if self.fd_scheme not in ("forward", "central"):
@@ -144,18 +147,37 @@ class TrainingTrace:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "TrainingTrace":
+    def from_dict(cls, doc) -> "TrainingTrace":
+        """Rebuild a trace from its JSON document; a missing or mistyped
+        field raises ParseError naming it."""
+        if not isinstance(doc, dict):
+            raise ParseError("trace document must be a JSON object", "$")
         return cls(
-            config=doc["config"],
-            status=doc["status"],
-            boundary_stall=doc["boundary_stall"],
-            initial=doc["initial"],
-            iterations=[IterationRecord(**rec) for rec in doc["iterations"]],
-            final_weights=doc["final_weights"],
-            budget=EvaluationBudget(**doc["budget"]),
-            holdout_size=doc.get("holdout_size", 0),
-            starts=doc.get("starts"),
+            config=_take(doc, "config", "$", dict),
+            status=_take(doc, "status", "$", str),
+            boundary_stall=_take(doc, "boundary_stall", "$", bool),
+            initial=_take(doc, "initial", "$", dict),
+            iterations=[
+                _record(IterationRecord, rec, f"iterations[{i}]")
+                for i, rec in enumerate(_take(doc, "iterations", "$", list))
+            ],
+            final_weights=_take(doc, "final_weights", "$", dict),
+            budget=_record(EvaluationBudget, _take(doc, "budget", "$", dict), "budget"),
+            holdout_size=_take(doc, "holdout_size", "$", int, required=False, default=0),
+            starts=_take(doc, "starts", "$", (list, type(None)), required=False),
         )
+
+
+# JSON types accepted for each annotation used by the trace's records
+_JSON_TYPES = {"int": int, "float": (int, float), "float | None": (int, float, type(None))}
+
+
+def _record(cls, doc, where: str):
+    """A record dataclass built from a JSON object whose every field is
+    present with a type matching the field's annotation."""
+    if not isinstance(doc, dict):
+        raise ParseError("must be a JSON object", where)
+    return cls(**{f.name: _take(doc, f.name, where, _JSON_TYPES[f.type]) for f in fields(cls)})
 
 
 def _config_dict(cfg: OptimizerConfig) -> dict:
@@ -200,9 +222,6 @@ class _Session:
         self.cfg = cfg
         self.metric_fn = metric_fn
         self.policy = FiringPolicy(threshold=cfg.threshold)
-        # exact-cutoff propagation keeps probe results bit-identical to
-        # full evaluation, so tms on/off changes cost, never results
-        self.probe_policy = FiringPolicy(threshold=cfg.threshold, propagation_cutoff=0.0)
         self.labels = {o.id: o.label for o in self.objects}
         self.classes = rb.output_classes
         if cfg.train_only is not None:
@@ -241,13 +260,13 @@ class _Session:
             if self.cfg.use_tms:
                 for st in self.states:
                     self.budget.firings += perturb_weight(
-                        st, self.rb, rule.id, w_probe, self.probe_policy
+                        st, self.rb, rule.id, w_probe, self.policy
                     )
                 value = self.metric_fn(self.states, self.labels, self.classes).value
                 value += penalty(self.rb, self.cfg.penalty)
                 for st in self.states:
                     self.budget.firings += restore_weight(
-                        st, self.rb, rule.id, old, self.probe_policy
+                        st, self.rb, rule.id, old, self.policy
                     )
             else:
                 probe_states = []

@@ -35,7 +35,6 @@ class SynthSpec:
     irrelevant_features: int = 0
     noise: float = 0.0
     seed: int = 0
-    shape: str = "flat"
 
     def __post_init__(self) -> None:
         if self.features < 2:
@@ -50,8 +49,6 @@ class SynthSpec:
             raise SpecInvalid("need at least one relevant feature per class")
         if not (0.0 <= self.noise <= 1.0):
             raise SpecInvalid("noise must be in [0, 1]")
-        if self.shape != "flat":
-            raise SpecInvalid("generate() builds flat bases; use generate_shaped for chain/tree")
 
 
 EXPERT_TRUE = 0.7

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from cf_forge import (
     And,
-    CertaintyFactor,
     Not,
     Or,
     Ref,
@@ -117,17 +116,3 @@ class TestEvalExpr:
     def test_unbound_proposition(self):
         with pytest.raises(UnboundProposition):
             eval_expr(Ref("missing"), self.ENV)
-
-
-class TestCertaintyFactor:
-    @pytest.mark.parametrize("v", [-1.0, -0.2, 0.0, 0.5, 1.0])
-    def test_accepts_range(self, v):
-        assert CertaintyFactor(v) == v
-
-    @pytest.mark.parametrize("v", [1.5, -1.0001, float("nan"), float("inf")])
-    def test_rejects_out_of_range(self, v):
-        with pytest.raises(ValueError):
-            CertaintyFactor(v)
-
-    def test_behaves_as_float(self):
-        assert CertaintyFactor(0.5) + 0.25 == 0.75

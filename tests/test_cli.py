@@ -6,6 +6,7 @@ import pytest
 
 from cf_forge import load_rulebase
 from cf_forge.cli import main
+from cf_forge.model import MAX_EXPR_DEPTH
 
 
 def run(*argv):
@@ -180,6 +181,89 @@ class TestBenchAndAudit:
             "--data", str(gen_dir / "train.jsonl"),
             "--out", str(out), "--seed", "3", "--max-iters", "2")
         assert run("audit", "--trace", str(out / "trace.json")) == 0
+
+
+def nested_not_rulebase(depth):
+    """A valid rule base whose first antecedent is ``depth`` nested NOTs,
+    written as text because json.dumps itself recurses once per level."""
+    expr = '{"not": ' * depth + '"f000"' + "}" * depth
+    return (
+        '{"propositions": [{"id": "f000", "kind": "input"},'
+        ' {"id": "c0", "kind": "derived", "output_class": true},'
+        ' {"id": "c1", "kind": "derived", "output_class": true}],'
+        ' "rules": [{"id": "r1", "if": ' + expr + ', "then": "c0", "weight": 0.5},'
+        ' {"id": "r2", "if": "f000", "then": "c1", "weight": 0.1}]}'
+    )
+
+
+DATA = '{"id": "o1", "facts": {"f000": 0.5}, "label": "c0"}\n'
+
+
+class TestRobustness:
+    """Bad numbers, malformed traces and over-deep documents end in one
+    error line and exit 2, never a traceback or a non-JSON number."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--fd-eps", "nan"],
+            ["train", "--step-init", "inf"],
+            ["train", "--mu", "nan"],
+            ["eval", "--mu", "nan"],
+            ["eval", "--mu", "inf"],
+        ],
+    )
+    def test_non_finite_flag(self, gen_dir, tmp_path, capsys, argv):
+        rc = run(*argv, "--rules", str(gen_dir / "rules.json"),
+                 "--data", str(gen_dir / "train.jsonl"),
+                 *(["--out", str(tmp_path / "run")] if argv[0] == "train" else []))
+        assert_one_error(capsys, rc)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1.0", "-0.5"])
+    def test_gen_holdout_out_of_range(self, tmp_path, capsys, value):
+        rc = run("gen", "--features", "4", "--classes", "2", "--objects", "10",
+                 "--holdout", value, "--out", str(tmp_path))
+        assert_one_error(capsys, rc)
+        assert not (tmp_path / "train.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        ['{"status": "pass"}', "[1, 2]", "[" * 5000 + "]" * 5000],
+        ids=["missing-field", "not-an-object", "too-deep"],
+    )
+    def test_malformed_trace(self, tmp_path, capsys, doc):
+        path = tmp_path / "trace.json"
+        path.write_text(doc)
+        assert_one_error(capsys, run("audit", "--trace", str(path)))
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("depth", [100, 3000])
+    def test_antecedent_too_deep(self, tmp_path, capsys, command, depth):
+        (tmp_path / "rules.json").write_text(nested_not_rulebase(depth))
+        (tmp_path / "data.jsonl").write_text(DATA)
+        rc = run(command, "--rules", str(tmp_path / "rules.json"),
+                 "--data", str(tmp_path / "data.jsonl"), "--out", str(tmp_path / "out"))
+        assert_one_error(capsys, rc)
+
+    def test_deepest_allowed_antecedent_trains(self, tmp_path):
+        rules = tmp_path / "rules.json"
+        rules.write_text(nested_not_rulebase(MAX_EXPR_DEPTH))
+        (tmp_path / "data.jsonl").write_text(DATA)
+        out = tmp_path / "out"
+        rc = run("train", "--rules", str(rules), "--data", str(tmp_path / "data.jsonl"),
+                 "--out", str(out), "--max-iters", "2")
+        assert rc in (0, 3)
+        trained = load_rulebase(out / "trained.json")
+        assert trained.rule("r1").antecedent == load_rulebase(rules).rule("r1").antecedent
+
+
+def assert_one_error(capsys, rc):
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 class TestSeedEnv:

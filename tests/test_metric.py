@@ -129,6 +129,11 @@ class TestPenalty:
         with pytest.raises(ValueError):
             PenaltyConfig(coefficient=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_coefficient_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            PenaltyConfig(coefficient=value)
+
 
 class TestObjective:
     def test_is_metric_plus_penalty(self):

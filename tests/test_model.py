@@ -15,6 +15,7 @@ from cf_forge import (
     TrainingObject,
     UnknownRule,
     ValidationError,
+    evaluate_full,
     load_dataset,
     parse,
     save_dataset,
@@ -22,7 +23,7 @@ from cf_forge import (
     validate,
     validate_dataset,
 )
-from cf_forge.model import DERIVED, INPUT, from_dict, to_dict
+from cf_forge.model import DERIVED, INPUT, MAX_EXPR_DEPTH, from_dict, to_dict
 from helpers import brute_force_closure, random_rulebase
 
 
@@ -229,6 +230,24 @@ class TestSerialization:
         with pytest.raises(ParseError, match=r"rules\[0\]\.if"):
             from_dict(doc)
 
+    def test_antecedent_depth_cap(self):
+        doc = to_dict(tiny_base(weight=0.5))
+        expr = "f"
+        for _ in range(MAX_EXPR_DEPTH):
+            expr = {"not": expr}
+        doc["rules"][0]["if"] = expr
+        rb = from_dict(doc)
+        assert parse(serialize(rb)) == rb
+        st = evaluate_full(rb, TrainingObject(id="o", facts={"f": 0.5}, label="c"))
+        assert st.prop_cf["c"] == 0.25  # an even number of NOTs
+        doc["rules"][0]["if"] = {"and": [expr]}
+        with pytest.raises(ParseError, match=r"rules\[0\]\.if\.and\[0\](\.not)+: antecedent nested"):
+            from_dict(doc)
+
+    def test_json_too_deep_to_decode(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse('{"propositions": ' + "[" * 5000 + "]" * 5000 + "}")
+
     def test_defaults_applied(self):
         rb = from_dict(
             {
@@ -259,6 +278,13 @@ class TestDataset:
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": "a", "facts": {"f": 1.5}, "label": "c"}\n')
         with pytest.raises(ParseError, match="line 1"):
+            load_dataset(path)
+
+    def test_line_too_deep_to_decode(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        deep = "[" * 5000 + "]" * 5000
+        path.write_text('{"id": "a", "facts": {}, "label": "c"}\n' + deep + "\n")
+        with pytest.raises(ParseError, match="line 2: JSON nested too deeply"):
             load_dataset(path)
 
     def test_duplicate_object_id(self, tmp_path):

@@ -9,6 +9,7 @@ from cf_forge import (
     EvaluationBudget,
     NoTrainableRules,
     OptimizerConfig,
+    ParseError,
     PenaltyConfig,
     Proposition,
     Ref,
@@ -16,6 +17,7 @@ from cf_forge import (
     RuleBase,
     SynthSpec,
     TrainingObject,
+    TrainingTrace,
     accuracy,
     audit_budget,
     evaluate_full,
@@ -26,6 +28,9 @@ from cf_forge import (
     train_multi,
 )
 from cf_forge.model import DERIVED, INPUT
+
+
+DELETE = object()  # marks a trace field to remove rather than replace
 
 
 def one_rule_problem(weight=0.0, fact=1.0, **rule_kwargs):
@@ -52,6 +57,18 @@ def final_accuracy(rb, data):
 def assert_monotone(trace):
     values = [trace.initial["objective"]] + [rec.objective for rec in trace.iterations]
     assert all(values[i] >= values[i + 1] for i in range(len(values) - 1))
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "name",
+        ["fd_eps", "step_init", "armijo_c", "shrink", "tol_objective",
+         "tol_grad", "holdout_fraction", "threshold"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            OptimizerConfig(**{name: value})
 
 
 class TestGradient:
@@ -284,6 +301,40 @@ class TestAudit:
     def test_line_search_evals_tracked_separately(self):
         trace = self.naive_trace()
         assert trace.budget.line_search_evals > 0
+
+    def test_trace_round_trip(self):
+        trace = self.naive_trace(max_iters=2)
+        again = TrainingTrace.from_dict(trace.to_dict())
+        assert again.to_dict() == trace.to_dict()
+
+    @pytest.mark.parametrize(
+        "keys, value, where",
+        [
+            ((), [1, 2], r"\$: trace document must be a JSON object"),
+            ((), {"status": "pass"}, r"\$: missing field 'config'"),
+            (("budget", "probe_evals"), DELETE, r"budget: missing field 'probe_evals'"),
+            (("budget", "objects"), "8", r"budget: field 'objects' has wrong type str"),
+            (("iterations", 0), 3, r"iterations\[0\]: must be a JSON object"),
+            (("iterations", 1, "step"), None, r"iterations\[1\]: field 'step'"),
+        ],
+        ids=["list", "missing-config", "missing-budget-field", "mistyped-budget-field",
+             "non-object-record", "mistyped-record-field"],
+    )
+    def test_malformed_trace_names_the_field(self, keys, value, where):
+        doc = self.naive_trace(max_iters=2).to_dict()
+        if keys:
+            *path, last = keys
+            target = doc
+            for k in path:
+                target = target[k]
+            if value is DELETE:
+                del target[last]
+            else:
+                target[last] = value
+        else:
+            doc = value
+        with pytest.raises(ParseError, match=where):
+            TrainingTrace.from_dict(doc)
 
 
 class TestMultiStart:

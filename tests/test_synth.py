@@ -26,7 +26,6 @@ class TestSpec:
             dict(features=10, classes=2, objects=10, irrelevant_features=-1),
             dict(features=6, classes=5, objects=10, irrelevant_features=2),
             dict(features=10, classes=2, objects=10, noise=1.5),
-            dict(features=10, classes=2, objects=10, shape="tree"),
         ],
     )
     def test_invalid(self, kwargs):
