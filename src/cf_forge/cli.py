@@ -21,6 +21,7 @@ from .model import (
     decode_json,
     load_dataset,
     load_rulebase,
+    open_replacing,
     save_dataset,
     save_rulebase,
     validate_dataset,
@@ -45,7 +46,8 @@ def _default_seed() -> int:
 
 def _write_json(doc, path) -> None:
     text = json.dumps(doc, indent=2, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with open_replacing(path) as fh:
+        fh.write(text + "\n")
 
 
 def _emit(doc, out: str | None) -> None:

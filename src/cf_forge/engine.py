@@ -12,6 +12,15 @@ fold sequence a full pass would execute.  Propagation stops only where a
 proposition's CF is bitwise unchanged, so incremental results are
 bit-identical to a fresh full pass.
 
+Every perturb records the ``prop_cf``, ``rule_ante`` and contribution
+entries it overwrites in an undo log on the state; each perturb starts a
+fresh log, and ``evaluate_full`` clears it.  ``restore_weight`` writes a
+matching log back in reverse, with no combine arithmetic and no firing, so
+the return to the pre-probe state is identical by construction.  A restore
+the log cannot serve (no pending log, another rule's log, or a weight whose
+contribution is not the one the log saved) re-fires the closure like a
+perturb.  A probe therefore costs one closure re-fire, not two.
+
 Evaluations of distinct objects are independent; a single ObjectEvaluation
 is single-owner mutable state.
 """
@@ -19,6 +28,7 @@ is single-owner mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import copysign
 from typing import Mapping
 
 from .algebra import combine_parallel, eval_expr
@@ -44,6 +54,8 @@ class FiringPolicy:
 
 DEFAULT_POLICY = FiringPolicy()
 
+_ABSENT = object()  # undo-log value of an entry that did not exist
+
 
 @dataclass
 class EvalCounters:
@@ -63,9 +75,14 @@ class ObjectEvaluation:
     contributions of its currently-firing rules, keyed by rule id.  The
     refold invariant: each produced proposition's CF equals the fold of its
     stored contributions in the rule base's incoming order.
+
+    undo is the last perturb's undo log, or None: the perturbed rule's id,
+    the contribution it overwrote (None when the rule does not fire), and
+    the (mapping, key, old value) of every entry the perturb wrote, in
+    write order.
     """
 
-    __slots__ = ("object_id", "prop_cf", "rule_ante", "contributions", "counters")
+    __slots__ = ("object_id", "prop_cf", "rule_ante", "contributions", "counters", "undo")
 
     def __init__(self, object_id: str):
         self.object_id = object_id
@@ -73,6 +90,7 @@ class ObjectEvaluation:
         self.rule_ante: dict[str, float] = {}
         self.contributions: dict[str, dict[str, float]] = {}
         self.counters = EvalCounters()
+        self.undo: tuple[str, float | None, list] | None = None
 
     def class_cfs(self, rb: RuleBase) -> dict[str, float]:
         return {cid: self.prop_cf[cid] for cid in rb.output_classes}
@@ -131,6 +149,7 @@ def evaluate_full(
     state.prop_cf = env
     state.rule_ante = ante
     state.contributions = contribs
+    state.undo = None
     state.counters.rules_fired += fired
     state.counters.full_passes += 1
     return state
@@ -155,10 +174,11 @@ def perturb_weight(
     """Re-evaluate the state as if the rule's weight were ``new_weight``.
 
     Only the rule itself and the affected part of its downstream closure
-    re-fire; the state is updated in place.  Returns the number of rules
-    re-fired (at most the size of the downstream closure).  The rule base
-    itself is not consulted for the perturbed rule's weight, so probing
-    never requires mutating the base.
+    re-fire; the state is updated in place, and every entry overwritten is
+    recorded in a fresh undo log (see restore_weight).  Returns the number
+    of rules re-fired (at most the size of the downstream closure).  The
+    rule base itself is not consulted for the perturbed rule's weight, so
+    probing never requires mutating the base.
     """
     rule = rb.rule(rule_id)
     a = state.rule_ante.get(rule_id)
@@ -174,11 +194,15 @@ def perturb_weight(
             f"rule {rule_id!r} firing status disagrees with stored contributions"
         )
     if not firing:
+        state.undo = (rule_id, None, [])
         return 0  # weight is irrelevant while the rule does not fire
     fired = 1
     prop_cf = state.prop_cf
-    bucket[rule_id] = new_weight * a
+    rule_ante = state.rule_ante
     old_cf = prop_cf[rule.consequent]
+    log = [(bucket, rule_id, bucket[rule_id]), (prop_cf, rule.consequent, old_cf)]
+    state.undo = (rule_id, bucket[rule_id], log)
+    bucket[rule_id] = new_weight * a
     new_cf = _refold(rb, bucket, rule.consequent)
     prop_cf[rule.consequent] = new_cf
     if new_cf == old_cf:
@@ -192,14 +216,17 @@ def perturb_weight(
             continue
         r = rb.rules_by_id[rid]
         a2 = eval_expr(r.antecedent, prop_cf)
-        state.rule_ante[rid] = a2
+        log.append((rule_ante, rid, rule_ante[rid]))
+        rule_ante[rid] = a2
         fired += 1
         b2 = state.contributions[r.consequent]
+        log.append((b2, rid, b2.get(rid, _ABSENT)))
         if a2 > threshold:
             b2[rid] = r.weight * a2
         else:
             b2.pop(rid, None)
         old2 = prop_cf[r.consequent]
+        log.append((prop_cf, r.consequent, old2))
         new2 = _refold(rb, b2, r.consequent)
         prop_cf[r.consequent] = new2
         if new2 != old2:
@@ -215,10 +242,34 @@ def restore_weight(
     old_weight: float,
     policy: FiringPolicy = DEFAULT_POLICY,
 ) -> int:
-    """Inverse of perturb_weight: re-fires the same downstream set back to
-    the original weight; after perturb-then-restore the state matches the
-    original bit for bit."""
+    """Inverse of perturb_weight: return the state to the rule's weight
+    ``old_weight``; returns the number of rules re-fired.
+
+    When the pending undo log is this rule's and ``old_weight`` gives the
+    contribution the log saved, bit for bit (always, for a rule that does
+    not fire), the log is written back in reverse and consumed: no combine
+    arithmetic, no firing, and 0 is returned.  The log assumes the base was
+    not changed between the perturb and the restore.  Otherwise (no pending
+    log, another rule's log, or another contribution) the closure re-fires
+    exactly as perturb_weight(old_weight) would.  Either way the state ends
+    bit-identical to a fresh full pass at ``old_weight``.
+    """
+    if state.undo is not None and state.undo[0] == rule_id:
+        _, saved, log = state.undo
+        if saved is None or _same_bits(old_weight * state.rule_ante[rule_id], saved):
+            state.undo = None
+            for mapping, key, old in reversed(log):
+                if old is _ABSENT:
+                    mapping.pop(key, None)
+                else:
+                    mapping[key] = old
+            return 0
     return perturb_weight(state, rb, rule_id, old_weight, policy)
+
+
+def _same_bits(x: float, y: float) -> bool:
+    # == alone would let a -0.0 contribution stand in for +0.0
+    return x == y and (x != 0.0 or copysign(1.0, x) == copysign(1.0, y))
 
 
 def classify(state: ObjectEvaluation, rb: RuleBase) -> str:

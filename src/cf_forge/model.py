@@ -33,9 +33,12 @@ from __future__ import annotations
 
 import heapq
 import json
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .algebra import And, Expr, Not, Or, Ref, is_cf, referenced_props
 from .errors import CyclicDependency, ParseError, UnknownRule, ValidationError
@@ -49,9 +52,9 @@ SOFT = "soft"
 BOUND_KINDS = (HARD, SOFT)
 
 # Deepest antecedent nesting a rule-base file may hold.  The walkers over
-# Expr trees (evaluation, validation, serialization, copy.deepcopy) recurse
-# several Python frames per level; this keeps them far below the default
-# recursion limit of 1000 while exceeding any hand-written antecedent.
+# Expr trees (evaluation, validation, serialization) recurse several Python
+# frames per level; this keeps them far below the default recursion limit
+# of 1000 while exceeding any hand-written antecedent.
 MAX_EXPR_DEPTH = 64
 
 
@@ -460,8 +463,56 @@ def parse(text: str, check: bool = True) -> RuleBase:
     return from_dict(decode_json(text), check=check)
 
 
+@contextmanager
+def open_replacing(path) -> Iterator[TextIO]:
+    """A UTF-8 text file to write in place of ``path``.
+
+    The writes go to a temp file in the same directory, renamed over
+    ``path`` only when the with-block completes, so a write that fails or
+    a process that is killed leaves any previous file whole and no temp
+    file behind.  Nothing is fsynced, so a power loss may still lose the
+    new file.  The directory must be writable; a file that replaces an
+    existing one keeps its permission bits.  A symbolic link keeps pointing
+    where it did: its target is replaced.  A path that exists but is no
+    regular file (a pipe or a device), or that names an open descriptor
+    (/dev/stdout -> /proc/self/fd/1 leads to whatever fd 1 is open on), has
+    nothing to replace and is written directly.
+    """
+    path = Path(path)
+    if _names_a_descriptor(path) or (path.exists() and not path.is_file()):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    path = path.resolve()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass  # a new file: the umask decides, as for any new file
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _names_a_descriptor(path: Path) -> bool:
+    """Whether ``path``, or a symbolic link it leads through, lies under
+    /dev or /proc."""
+    p = os.path.abspath(path)
+    for _ in range(40):  # the kernel's own limit on a chain of links
+        if p.split(os.sep)[1] in ("dev", "proc"):
+            return True
+        if not os.path.islink(p):
+            return False
+        p = os.path.normpath(os.path.join(os.path.dirname(p), os.readlink(p)))
+    return False
+
+
 def save_rulebase(rb: RuleBase, path) -> None:
-    Path(path).write_text(serialize(rb), encoding="utf-8")
+    with open_replacing(path) as fh:
+        fh.write(serialize(rb))
 
 
 def load_rulebase(path, check: bool = True) -> RuleBase:
@@ -476,7 +527,7 @@ def object_to_dict(obj: TrainingObject) -> dict:
 
 
 def save_dataset(objects: Sequence[TrainingObject], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_replacing(path) as fh:
         for obj in objects:
             fh.write(json.dumps(object_to_dict(obj)) + "\n")
 

@@ -10,32 +10,38 @@ sequence never increases.
 
 Gradient probes displace one weight at a time, so with incremental
 re-evaluation enabled (``use_tms``) each probe re-fires only the perturbed
-rule's downstream closure per object; probes then cost O(closure) firings
-instead of a full pass.  The engine is exact, which makes the incremental
-gradient equal the full-evaluation gradient bit for bit: the speedup is
-never a semantics change.  Line-search candidates move every trainable
-weight at once, so those are full passes and are accounted separately.
+rule's downstream closure per object, once: the restore replays the
+engine's undo log and fires nothing.  The penalty is scanned once per
+gradient, and a probe of a rule that is not soft-bounded reuses that scan:
+such a rule adds no penalty term at any weight.  Only a soft-bounded probe
+rescans the rules.  A probe thus costs O(closure) firings, each refolding
+its consequent's fan-in, instead of a full pass.  The engine is exact and
+the reused penalty is the very value a rescan would give, which makes the
+incremental gradient equal the full-evaluation gradient bit for bit: the
+speedup is never a semantics change.  Line-search candidates move every
+trainable weight at once, so those are full passes and are accounted
+separately.
 
 Accounting: ``probe_evals`` counts one per (rule, object) probe (two per
 pair for non-degenerate central differences).  In naive forward mode every
 probe is a genuine full pass, so at termination
 ``probe_evals == gradients x objects x trainable_rules`` exactly;
 ``audit_budget`` checks that identity.  Line-search evaluations are counted
-in their own field and excluded by definition.
+in their own field and excluded by definition.  ``firings`` counts the
+rules the engine actually fired, so a replayed restore adds nothing.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 from .engine import FiringPolicy, ObjectEvaluation, evaluate_full, perturb_weight, restore_weight
 from .errors import EmptyDataset, NoTrainableRules, ParseError
 from .metric import MetricFn, PenaltyConfig, margin_metric, penalty
-from .model import HARD, Rule, RuleBase, TrainingObject, _take
+from .model import HARD, SOFT, Rule, RuleBase, TrainingObject, _take
 
 
 @dataclass
@@ -90,7 +96,8 @@ class EvaluationBudget:
     trainable_rules: weights being optimized; probe_evals: gradient probes,
     one per (rule, object) displacement; line_search_evals: full rule-base
     evaluations spent on line-search candidates (excluded from
-    probe_evals); firings: total rule firings through the engine.
+    probe_evals); firings: total rule firings through the engine (a
+    restore that replays the undo log fires none).
     """
 
     gradients: int = 0
@@ -200,6 +207,13 @@ def _project(rule: Rule, w: float) -> float:
     return min(max(w, lo), hi)
 
 
+def _copy_weights(rb: RuleBase) -> RuleBase:
+    """A base of its own Rule objects, so that its weights can change
+    without touching rb; propositions and the frozen antecedents are
+    shared."""
+    return RuleBase(rb.propositions.values(), [replace(r) for r in rb.rules])
+
+
 def _is_trainable(rule: Rule, cfg: OptimizerConfig) -> bool:
     if not rule.trainable:
         return False
@@ -252,8 +266,9 @@ class _Session:
         p = penalty(self.rb, self.cfg.penalty)
         return m + p, m, p
 
-    def _probe_objective(self, rule: Rule, w_probe: float) -> float:
-        """Objective with one weight displaced, everything else fixed."""
+    def _probe_objective(self, rule: Rule, w_probe: float, base_pen: float) -> float:
+        """Objective with one weight displaced, everything else fixed;
+        ``base_pen`` is the penalty of the undisplaced base."""
         old = rule.weight
         rule.weight = w_probe
         try:
@@ -263,7 +278,10 @@ class _Session:
                         st, self.rb, rule.id, w_probe, self.policy
                     )
                 value = self.metric_fn(self.states, self.labels, self.classes).value
-                value += penalty(self.rb, self.cfg.penalty)
+                if rule.bound_kind == SOFT:
+                    value += penalty(self.rb, self.cfg.penalty)
+                else:  # the rule adds no penalty term at any weight
+                    value += base_pen
                 for st in self.states:
                     self.budget.firings += restore_weight(
                         st, self.rb, rule.id, old, self.policy
@@ -283,26 +301,27 @@ class _Session:
 
     def gradient(self, base_objective: float) -> dict[str, float]:
         cfg = self.cfg
+        base_pen = penalty(self.rb, cfg.penalty)
         g: dict[str, float] = {}
         for rule in self.trainable:
             w = rule.weight
             h = cfg.fd_eps * max(1.0, abs(w))
             if cfg.fd_scheme == "forward":
                 e = h if w + h <= 1.0 else -h
-                f1 = self._probe_objective(rule, w + e)
+                f1 = self._probe_objective(rule, w + e, base_pen)
                 g[rule.id] = (f1 - base_objective) / e
             else:
                 hi_ok = w + h <= 1.0
                 lo_ok = w - h >= -1.0
                 if hi_ok and lo_ok:
-                    f_hi = self._probe_objective(rule, w + h)
-                    f_lo = self._probe_objective(rule, w - h)
+                    f_hi = self._probe_objective(rule, w + h, base_pen)
+                    f_lo = self._probe_objective(rule, w - h, base_pen)
                     g[rule.id] = (f_hi - f_lo) / (2.0 * h)
                 elif hi_ok:
-                    f_hi = self._probe_objective(rule, w + h)
+                    f_hi = self._probe_objective(rule, w + h, base_pen)
                     g[rule.id] = (f_hi - base_objective) / h
                 else:
-                    f_lo = self._probe_objective(rule, w - h)
+                    f_lo = self._probe_objective(rule, w - h, base_pen)
                     g[rule.id] = (base_objective - f_lo) / h
         self.budget.gradients += 1
         return g
@@ -415,7 +434,7 @@ def train(
     cfg = cfg or OptimizerConfig()
     if not dataset:
         raise EmptyDataset("training needs at least one object")
-    work = copy.deepcopy(rb)
+    work = _copy_weights(rb)
     train_objs, holdout_objs = _split_dataset(dataset, cfg)
     if not train_objs:
         raise EmptyDataset("holdout split left no training objects")
@@ -495,7 +514,7 @@ def train_multi(
     traces: list[TrainingTrace] = []
     summaries: list[dict] = []
     for start in range(cfg.multi_start):
-        init_rb = copy.deepcopy(rb)
+        init_rb = _copy_weights(rb)
         if start > 0:
             for r in init_rb.rules:
                 if _is_trainable(r, cfg):

@@ -1,11 +1,13 @@
 """End-to-end CLI runs (in-process), exit codes, reproducibility."""
 
 import json
+import os
+import threading
 
 import pytest
 
 from cf_forge import load_rulebase
-from cf_forge.cli import main
+from cf_forge.cli import _write_json, main
 from cf_forge.model import MAX_EXPR_DEPTH
 
 
@@ -255,6 +257,77 @@ class TestRobustness:
         assert rc in (0, 3)
         trained = load_rulebase(out / "trained.json")
         assert trained.rule("r1").antecedent == load_rulebase(rules).rule("r1").antecedent
+
+
+class TestAtomicWrites:
+    def test_failed_write_leaves_the_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.json"
+        _write_json({"status": "old"}, path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            _write_json({"status": "new"}, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
+
+    def test_write_through_a_link_replaces_its_target(self, tmp_path):
+        target = tmp_path / "real.json"
+        _write_json({"v": 1}, target)
+        link = tmp_path / "trace.json"
+        link.symlink_to(target)
+        _write_json({"v": 2}, link)
+        assert link.is_symlink()
+        assert read_json(target) == {"v": 2}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["real.json", "trace.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_write_to_a_pipe_goes_through_it(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        _write_json({"v": 3}, fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert json.loads(got[0]) == {"v": 3}
+        assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
+        assert not fifo.is_file()
+
+    def test_replaced_file_keeps_its_permissions(self, tmp_path):
+        path = tmp_path / "report.json"
+        _write_json({"v": 1}, path)
+        path.chmod(0o640)
+        _write_json({"v": 2}, path)
+        assert read_json(path) == {"v": 2}
+        assert path.stat().st_mode & 0o777 == 0o640
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_descriptor_path_writes_into_the_open_file(self, tmp_path):
+        # `eval --out /dev/stdout > file` reaches the file through
+        # /proc/self/fd/1; renaming over it would detach the shell's stdout
+        path = tmp_path / "captured.txt"
+        with open(path, "w", encoding="utf-8") as held:
+            inode = path.stat().st_ino
+            _write_json({"v": 4}, f"/proc/self/fd/{held.fileno()}")
+            assert path.stat().st_ino == inode
+        assert read_json(path) == {"v": 4}
+        assert [p.name for p in tmp_path.iterdir()] == ["captured.txt"]
+
+    def test_train_outputs_replace_earlier_ones(self, gen_dir, tmp_path):
+        out = tmp_path / "run"
+        args = ("train", "--rules", str(gen_dir / "rules.json"),
+                "--data", str(gen_dir / "train.jsonl"), "--out", str(out),
+                "--max-iters", "2", "--seed", "1")
+        assert run(*args) == 0
+        first = {name: (out / name).read_bytes() for name in ("trained.json", "trace.json")}
+        assert run(*args) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "trace.json", "trained.json"]
+        assert {name: (out / name).read_bytes() for name in first} == first
 
 
 def assert_one_error(capsys, rc):

@@ -274,6 +274,17 @@ class TestDataset:
         assert again == objs
         assert again[0].facts["f"] == objs[0].facts["f"]
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        save_dataset([TrainingObject(id="a", facts={}, label="c")], path)
+        before = path.read_bytes()
+        good = TrainingObject(id="b", facts={"f": 0.5}, label="c")
+        bad = TrainingObject(id="x", facts={"f": {0.5}}, label="c")  # a set: not JSON
+        with pytest.raises(TypeError):
+            save_dataset([good, bad], path)  # raises after the first line is written
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
     def test_fact_out_of_range(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": "a", "facts": {"f": 1.5}, "label": "c"}\n')
