@@ -6,10 +6,14 @@ several rules is pooled with ``combine_parallel``; the combination rule is
 commutative and associative, so a proposition's contribution list can be
 folded in any order and refolded incrementally without changing the result.
 That order-independence is what makes incremental re-evaluation in the
-engine sound.
+engine sound.  In floating point the fold is only approximately
+order-independent, so the engine fixes one order (each proposition's
+incoming rules in topological order) and both of its paths fold in it.
 
 Antecedents are trees of AND / OR / NOT over proposition references,
-evaluated with the usual min / max / negation semantics.
+evaluated with the usual min / max / negation semantics.  The engine reads
+an antecedent that is a bare reference straight from its CF map and calls
+``eval_expr`` only for compound ones.
 """
 
 from __future__ import annotations
@@ -47,20 +51,31 @@ def combine_parallel(x: float, y: float) -> float:
     (a symmetric tie of total conflict).  Absorption is handled explicitly
     because the sum formulas lose it to rounding (1 + y - y need not be 1
     in floating point); the conflicting branch absorbs exactly on its own.
+
+    The result is clamp() of the branch's formula, clamped inline.  For CFs
+    in [-1, +1] the supporting sum is never below 0 and the opposing sum
+    never above 0, even after rounding, so each of those branches tests
+    only the bound it can cross.
     """
     if x >= 0.0:
         if y >= 0.0:
             if x == 1.0 or y == 1.0:
                 return 1.0
-            return clamp(x + y - x * y)
+            z = x + y - x * y
+            return 1.0 if z > 1.0 else z
+        weaker = x if x < -y else -y  # min(|x|, |y|), up to the sign of a zero
     elif y <= 0.0:
         if x == -1.0 or y == -1.0:
             return -1.0
-        return clamp(x + y + x * y)
-    denom = 1.0 - min(abs(x), abs(y))
+        z = x + y + x * y
+        return -1.0 if z < -1.0 else z
+    else:
+        weaker = y if y < -x else -x
+    denom = 1.0 - weaker
     if denom == 0.0:
         return 0.0
-    return clamp((x + y) / denom)
+    z = (x + y) / denom
+    return 1.0 if z > 1.0 else -1.0 if z < -1.0 else z
 
 
 def combine_all(contributions: Sequence[float]) -> float:

@@ -1,16 +1,20 @@
 """Forward-chaining evaluation of one object, full-pass and incremental.
 
-``evaluate_full`` fires every rule once in topological order.  A rule fires
+Both paths walk the rule base's compiled firing plan (``RuleBase.
+firing_plan``).  ``evaluate_full`` takes each produced proposition in plan
+order and fires its incoming rules once, in incoming order.  A rule fires
 when its antecedent CF exceeds the firing threshold; its contribution,
-weight x antecedent CF, is pooled into the consequent's CF.
+weight x antecedent CF, is pooled into the consequent's CF.  An antecedent
+that is a bare reference is read straight from the CF map; any other goes
+through ``eval_expr``.
 
 ``perturb_weight`` is the incremental path: changing a single rule's weight
-re-fires only that rule and the rules downstream of its consequent.  Each
-affected proposition is refolded from its stored contribution list in the
-static topological order of its incoming rules, which replays exactly the
-fold sequence a full pass would execute.  Propagation stops only where a
-proposition's CF is bitwise unchanged, so incremental results are
-bit-identical to a fresh full pass.
+re-fires only that rule and the rules downstream of its consequent, walking
+the rule's cached closure plan.  Each affected proposition is refolded from
+its stored contribution list in the static topological order of its
+incoming rules, which replays exactly the fold sequence a full pass would
+execute.  Propagation stops only where a proposition's CF is bitwise
+unchanged, so incremental results are bit-identical to a fresh full pass.
 
 Every perturb records the ``prop_cf``, ``rule_ante`` and contribution
 entries it overwrites in an undo log on the state; each perturb starts a
@@ -20,6 +24,10 @@ the return to the pre-probe state is identical by construction.  A restore
 the log cannot serve (no pending log, another rule's log, or a weight whose
 contribution is not the one the log saved) re-fires the closure like a
 perturb.  A probe therefore costs one closure re-fire, not two.
+
+``combine_parallel`` and ``eval_expr`` are looked up as module globals at
+every call, so a wrapper installed on this module sees every combine and
+every antecedent evaluation.
 
 Evaluations of distinct objects are independent; a single ObjectEvaluation
 is single-owner mutable state.
@@ -33,7 +41,7 @@ from typing import Mapping
 
 from .algebra import combine_parallel, eval_expr
 from .errors import InconsistentState, NoOutputClasses
-from .model import INPUT, RuleBase, TrainingObject
+from .model import RuleBase, TrainingObject
 
 
 @dataclass
@@ -98,7 +106,7 @@ class ObjectEvaluation:
     def check_consistent(self, rb: RuleBase) -> None:
         """Verify the refold invariant; raises InconsistentState."""
         for prop_id, bucket in self.contributions.items():
-            acc = _refold(rb, bucket, prop_id)
+            acc = _refold(rb.incoming_rules(prop_id), bucket)
             if acc != self.prop_cf[prop_id]:
                 raise InconsistentState(
                     f"object {self.object_id!r}: proposition {prop_id!r} CF "
@@ -112,7 +120,7 @@ def evaluate_full(
     policy: FiringPolicy = DEFAULT_POLICY,
     into: ObjectEvaluation | None = None,
 ) -> ObjectEvaluation:
-    """Evaluate every rule once, in topological order.
+    """Evaluate every rule once, walking the rule base's firing plan.
 
     Inputs missing from the object's facts default to CF 0; derived
     propositions no rule fires into stay at CF 0.  Pass ``into`` to reuse a
@@ -127,25 +135,32 @@ def evaluate_full(
                 f"state for object {into.object_id!r} reused for {obj.id!r}"
             )
         state = into
+    plan = rb.firing_plan()
+    env = plan.initial.copy()
     facts = obj.facts
-    env: dict[str, float] = {}
-    for p in rb.propositions.values():
-        env[p.id] = facts.get(p.id, 0.0) if p.kind == INPUT else 0.0
+    for p in plan.inputs:
+        env[p] = facts.get(p, 0.0)
     contribs: dict[str, dict[str, float]] = {}
     ante: dict[str, float] = {}
     threshold = policy.threshold
     fired = 0
-    rules_by_id = rb.rules_by_id
-    for rule_id in rb.topological_order():
-        rule = rules_by_id[rule_id]
-        a = eval_expr(rule.antecedent, env)
-        ante[rule_id] = a
-        bucket = contribs.setdefault(rule.consequent, {})
-        if a > threshold:
-            c = rule.weight * a
-            bucket[rule_id] = c
-            env[rule.consequent] = combine_parallel(env[rule.consequent], c)
-            fired += 1
+    for prop_id, entries in plan.steps:
+        bucket: dict[str, float] = {}
+        # the fold starts from the proposition's CF: 0.0 when it is derived,
+        # the fact when an unchecked base concludes an input; a consequent
+        # that is not declared stays unbound unless a rule fires into it
+        acc = env.get(prop_id, 0.0)
+        for rule, rule_id, leaf in entries:
+            a = env[leaf] if type(leaf) is str else eval_expr(leaf, env)
+            ante[rule_id] = a
+            if a > threshold:
+                c = rule.weight * a
+                bucket[rule_id] = c
+                acc = combine_parallel(acc, c)
+        contribs[prop_id] = bucket
+        if bucket:
+            env[prop_id] = acc
+            fired += len(bucket)
     state.prop_cf = env
     state.rule_ante = ante
     state.contributions = contribs
@@ -155,9 +170,10 @@ def evaluate_full(
     return state
 
 
-def _refold(rb: RuleBase, bucket: Mapping[str, float], prop_id: str) -> float:
+def _refold(incoming: tuple[str, ...], bucket: Mapping[str, float]) -> float:
+    """Fold a bucket's contributions in the consequent's incoming order."""
     acc = 0.0
-    for rid in rb.incoming_rules(prop_id):
+    for rid in incoming:
         c = bucket.get(rid)
         if c is not None:
             acc = combine_parallel(acc, c)
@@ -180,14 +196,16 @@ def perturb_weight(
     rule base itself is not consulted for the perturbed rule's weight, so
     probing never requires mutating the base.
     """
-    rule = rb.rule(rule_id)
+    plan = rb.closure_plan(rule_id)
+    _, _, cons, _, incoming = plan[0]
     a = state.rule_ante.get(rule_id)
     if a is None:
         raise InconsistentState(f"no antecedent recorded for rule {rule_id!r}")
     threshold = policy.threshold
-    bucket = state.contributions.get(rule.consequent)
+    contributions = state.contributions
+    bucket = contributions.get(cons)
     if bucket is None:
-        raise InconsistentState(f"no contribution bucket for proposition {rule.consequent!r}")
+        raise InconsistentState(f"no contribution bucket for proposition {cons!r}")
     firing = a > threshold
     if firing != (rule_id in bucket):
         raise InconsistentState(
@@ -199,38 +217,36 @@ def perturb_weight(
     fired = 1
     prop_cf = state.prop_cf
     rule_ante = state.rule_ante
-    old_cf = prop_cf[rule.consequent]
-    log = [(bucket, rule_id, bucket[rule_id]), (prop_cf, rule.consequent, old_cf)]
+    old_cf = prop_cf[cons]
+    log = [(bucket, rule_id, bucket[rule_id]), (prop_cf, cons, old_cf)]
     state.undo = (rule_id, bucket[rule_id], log)
     bucket[rule_id] = new_weight * a
-    new_cf = _refold(rb, bucket, rule.consequent)
-    prop_cf[rule.consequent] = new_cf
+    new_cf = _refold(incoming, bucket)
+    prop_cf[cons] = new_cf
     if new_cf == old_cf:
         state.counters.rules_fired += fired
         return fired
-    changed = {rule.consequent}
-    for rid in rb.closure_order(rule_id):
-        if rid == rule_id:
+    changed = {cons}
+    for r, leaf, cons2, refs, incoming2 in plan[1:]:
+        if changed.isdisjoint(refs):
             continue
-        if not (rb.antecedent_refs(rid) & changed):
-            continue
-        r = rb.rules_by_id[rid]
-        a2 = eval_expr(r.antecedent, prop_cf)
+        rid = r.id
+        a2 = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
         log.append((rule_ante, rid, rule_ante[rid]))
         rule_ante[rid] = a2
         fired += 1
-        b2 = state.contributions[r.consequent]
+        b2 = contributions[cons2]
         log.append((b2, rid, b2.get(rid, _ABSENT)))
         if a2 > threshold:
             b2[rid] = r.weight * a2
         else:
             b2.pop(rid, None)
-        old2 = prop_cf[r.consequent]
-        log.append((prop_cf, r.consequent, old2))
-        new2 = _refold(rb, b2, r.consequent)
-        prop_cf[r.consequent] = new2
+        old2 = prop_cf[cons2]
+        log.append((prop_cf, cons2, old2))
+        new2 = _refold(incoming2, b2)
+        prop_cf[cons2] = new2
         if new2 != old2:
-            changed.add(r.consequent)
+            changed.add(cons2)
     state.counters.rules_fired += fired
     return fired
 

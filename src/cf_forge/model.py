@@ -85,6 +85,28 @@ class Rule:
 
 
 @dataclass(frozen=True)
+class FiringPlan:
+    """A rule base compiled for the engine, built once per base.
+
+    initial maps every proposition to CF 0, in declaration order; a pass
+    copies it and sets ``inputs`` from the object's facts.  ``steps`` lists
+    each produced proposition with the entries of its incoming rules, in
+    incoming order: (rule, rule id, leaf).  Propositions are ordered by the
+    topological position of their last producer, so every proposition is
+    final before any rule reads it.  ``refires`` maps each rule id to the
+    entry a probe re-fires it from: (rule, leaf, consequent, antecedent
+    refs, the consequent's incoming rule ids).  A leaf is the proposition id
+    when the antecedent is a bare Ref to a declared proposition, else the
+    antecedent Expr.  Rules are held by reference, so weights stay live.
+    """
+
+    initial: dict[str, float]
+    inputs: tuple[str, ...]
+    steps: tuple[tuple[str, tuple[tuple[Rule, str, str | Expr], ...]], ...]
+    refires: dict[str, tuple[Rule, str | Expr, str, frozenset[str], tuple[str, ...]]]
+
+
+@dataclass(frozen=True)
 class Violation:
     """One invariant violation found by validate()."""
 
@@ -108,11 +130,13 @@ class TrainingObject:
 
 
 class RuleBase:
-    """Propositions plus rules, with cached dependency-graph queries.
+    """Propositions plus rules, with cached dependency-graph queries and the
+    engine's compiled firing plan.
 
     The structure (propositions, rule antecedents/consequents) is treated
     as frozen once built; only rule *weights* may be mutated, and only
-    under exclusive access.  Graph caches therefore never invalidate.
+    under exclusive access.  Graph caches therefore never invalidate, and
+    the plans, which hold the Rule objects themselves, see every weight.
     """
 
     def __init__(self, propositions: Iterable[Proposition], rules: Iterable[Rule]):
@@ -127,12 +151,16 @@ class RuleBase:
             if r.id in self.rules_by_id:
                 raise ParseError(f"duplicate rule id {r.id!r}")
             self.rules_by_id[r.id] = r
+        self.output_classes: tuple[str, ...] = tuple(
+            sorted(p.id for p in self.propositions.values() if p.output_class)
+        )
         self._topo: tuple[str, ...] | None = None
+        self._pos: dict[str, int] = {}
         self._refs: dict[str, frozenset[str]] = {}
         self._dependents: dict[str, tuple[str, ...]] = {}
         self._incoming: dict[str, tuple[str, ...]] = {}
-        self._closures: dict[str, frozenset[str]] = {}
-        self._closure_orders: dict[str, tuple[str, ...]] = {}
+        self._plan: FiringPlan | None = None
+        self._closure_plans: dict[str, tuple] = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RuleBase):
@@ -144,10 +172,6 @@ class RuleBase:
             return self.rules_by_id[rule_id]
         except KeyError:
             raise UnknownRule(rule_id) from None
-
-    @property
-    def output_classes(self) -> tuple[str, ...]:
-        return tuple(sorted(p.id for p in self.propositions.values() if p.output_class))
 
     def antecedent_refs(self, rule_id: str) -> frozenset[str]:
         self._ensure_graph()
@@ -174,9 +198,6 @@ class RuleBase:
         consequent."""
         self.rule(rule_id)
         self._ensure_graph()
-        cached = self._closures.get(rule_id)
-        if cached is not None:
-            return cached
         seen = {rule_id}
         stack = [rule_id]
         while stack:
@@ -184,19 +205,47 @@ class RuleBase:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        closure = frozenset(seen)
-        self._closures[rule_id] = closure
-        return closure
+        return frozenset(seen)
 
     def closure_order(self, rule_id: str) -> tuple[str, ...]:
-        """downstream_closure restricted to topological order."""
-        cached = self._closure_orders.get(rule_id)
-        if cached is not None:
-            return cached
-        closure = self.downstream_closure(rule_id)
-        order = tuple(rid for rid in self.topological_order() if rid in closure)
-        self._closure_orders[rule_id] = order
-        return order
+        """downstream_closure in topological order; the rule comes first."""
+        return tuple(sorted(self.downstream_closure(rule_id), key=self._pos.__getitem__))
+
+    def firing_plan(self) -> FiringPlan:
+        """The compiled plan every engine pass walks; built on first use."""
+        if self._plan is not None:
+            return self._plan
+        self._ensure_graph()
+        props = self.propositions
+        leaves = {}
+        for r in self.rules:
+            e = r.antecedent
+            leaves[r.id] = e.prop if type(e) is Ref and e.prop in props else e
+        incoming = self._incoming
+        last = {p: self._pos[ids[-1]] for p, ids in incoming.items()}
+        by_id = self.rules_by_id
+        self._plan = FiringPlan(
+            initial=dict.fromkeys(props, 0.0),
+            inputs=tuple(p.id for p in props.values() if p.kind == INPUT),
+            steps=tuple(
+                (p, tuple((by_id[rid], rid, leaves[rid]) for rid in incoming[p]))
+                for p in sorted(incoming, key=last.__getitem__)
+            ),
+            refires={
+                r.id: (r, leaves[r.id], r.consequent, self._refs[r.id], incoming[r.consequent])
+                for r in self.rules
+            },
+        )
+        return self._plan
+
+    def closure_plan(self, rule_id: str) -> tuple:
+        """The firing plan's re-fire entries of closure_order(rule_id)."""
+        cached = self._closure_plans.get(rule_id)
+        if cached is None:
+            refires = self.firing_plan().refires
+            cached = tuple(refires[rid] for rid in self.closure_order(rule_id))
+            self._closure_plans[rule_id] = cached
+        return cached
 
     def _ensure_graph(self) -> None:
         """Build every graph cache in one Kahn pass: rule a -> rule b when
@@ -230,6 +279,7 @@ class RuleBase:
             raise CyclicDependency(" -> ".join(_find_cycle(out, stuck)))
         pos = {rid: i for i, rid in enumerate(topo)}
         self._topo = tuple(topo)
+        self._pos = pos
         self._refs = refs
         self._dependents = {rid: tuple(lst) for rid, lst in out.items()}
         self._incoming = {
@@ -476,11 +526,13 @@ def open_replacing(path) -> Iterator[TextIO]:
     where it did: its target is replaced.  A path that exists but is no
     regular file (a pipe or a device), or that names an open descriptor
     (/dev/stdout -> /proc/self/fd/1 leads to whatever fd 1 is open on), has
-    nothing to replace and is written directly.
+    nothing to replace and is written directly, in append mode: opening
+    /dev/stdout for writing would truncate a file the shell redirected
+    stdout to, and lose what was already written there.
     """
     path = Path(path)
     if _names_a_descriptor(path) or (path.exists() and not path.is_file()):
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "a", encoding="utf-8") as fh:
             yield fh
         return
     path = path.resolve()

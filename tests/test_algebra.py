@@ -1,5 +1,7 @@
 """Certainty-factor calculus: worked examples and algebraic laws."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from cf_forge import (
     Or,
     Ref,
     UnboundProposition,
+    clamp,
     combine_all,
     combine_parallel,
     eval_expr,
@@ -21,6 +24,27 @@ cfs = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 # the conflicting-combination denominator 1 - min(|x|, |y|) amplifies
 # rounding near saturation, so the associativity law is checked away from it
 cfs_interior = st.floats(min_value=-0.99, max_value=0.99, allow_nan=False)
+
+TINY = 5e-324  # the smallest subnormal
+MIN_NORMAL = 2.2250738585072014e-308
+# signed zeros, the absorbing values, values within 1e-15 of them, and
+# subnormals: where an inline clamp that skips a bound could go wrong
+EDGES = (
+    0.0, -0.0, 1.0, -1.0,
+    math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), 1.0 - 1e-15, -1.0 + 1e-15,
+    TINY, -TINY, MIN_NORMAL, -MIN_NORMAL, math.nextafter(MIN_NORMAL, 0.0),
+    0.5, -0.5,
+)
+
+
+def clamped_formula(x, y):
+    """combine_parallel as its docstring states it, every case clamped."""
+    if x >= 0.0 and y >= 0.0:
+        return 1.0 if 1.0 in (x, y) else clamp(x + y - x * y)
+    if x < 0.0 and y <= 0.0:
+        return -1.0 if -1.0 in (x, y) else clamp(x + y + x * y)
+    denom = 1.0 - min(abs(x), abs(y))
+    return 0.0 if denom == 0.0 else clamp((x + y) / denom)
 
 
 class TestCombineParallel:
@@ -46,6 +70,14 @@ class TestCombineParallel:
     def test_total_conflict_is_symmetric_tie(self):
         assert combine_parallel(1.0, -1.0) == 0.0
         assert combine_parallel(-1.0, 1.0) == 0.0
+
+    @given(cfs, cfs)
+    def test_equals_the_clamped_formula_bitwise(self, x, y):
+        assert combine_parallel(x, y).hex() == clamped_formula(x, y).hex()
+
+    def test_equals_the_clamped_formula_on_edge_inputs(self):
+        for x, y in itertools.product(EDGES, repeat=2):
+            assert combine_parallel(x, y).hex() == clamped_formula(x, y).hex(), (x, y)
 
     @given(cfs, cfs)
     def test_closure(self, x, y):

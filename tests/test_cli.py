@@ -2,10 +2,15 @@
 
 import json
 import os
+import shlex
+import shutil
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import cf_forge
 from cf_forge import load_rulebase
 from cf_forge.cli import _write_json, main
 from cf_forge.model import MAX_EXPR_DEPTH
@@ -317,6 +322,27 @@ class TestAtomicWrites:
             assert path.stat().st_ino == inode
         assert read_json(path) == {"v": 4}
         assert [p.name for p in tmp_path.iterdir()] == ["captured.txt"]
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd") or shutil.which("sh") is None,
+        reason="needs /proc/self/fd and a POSIX shell",
+    )
+    @pytest.mark.parametrize("redirect", [">", ">>"])
+    def test_stdout_out_keeps_what_the_shell_wrote(self, gen_dir, tmp_path, redirect):
+        log = tmp_path / "log"
+        evaluate = shlex.join([
+            sys.executable, "-m", "cf_forge", "eval",
+            "--rules", str(gen_dir / "rules.json"), "--data", str(gen_dir / "train.jsonl"),
+            "--out", "/dev/stdout",
+        ])
+        script = f"{{ echo before; {evaluate}; }} {redirect} {shlex.quote(str(log))}"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cf_forge.__file__)))
+        subprocess.run(
+            ["sh", "-c", script], env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120
+        )
+        first, rest = log.read_text().split("\n", 1)
+        assert first == "before"
+        assert set(json.loads(rest)) >= {"metric", "accuracy"}
 
     def test_train_outputs_replace_earlier_ones(self, gen_dir, tmp_path):
         out = tmp_path / "run"

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cf_forge import engine
 from cf_forge import (
+    And,
     FiringPolicy,
     InconsistentState,
     NoOutputClasses,
@@ -19,8 +20,10 @@ from cf_forge import (
     Rule,
     RuleBase,
     TrainingObject,
+    UnboundProposition,
     classify,
     combine_parallel,
+    eval_expr,
     evaluate_full,
     perturb_weight,
     restore_weight,
@@ -390,7 +393,7 @@ class TestExactness:
                     rule = last[0]
                     target = last[1] if action == "undo" else w
                 with pytest.MonkeyPatch.context() as mp:
-                    calls = count_combines(mp)
+                    calls = count_calls(mp, "combine_parallel")
                     fired = restore_weight(state, rb, rule.id, target)
                 if pending == (rule.id, target):
                     assert fired == 0 and calls[0] == 0
@@ -412,25 +415,131 @@ class TestExactness:
         assert str(state.contributions["c"]["r1"]) == "-0.0"
 
 
-def count_combines(mp):
-    """Count engine.combine_parallel calls while ``mp`` is active."""
+def count_calls(mp, name):
+    """Count calls of engine.<name> while ``mp`` is active."""
     calls = [0]
-    original = engine.combine_parallel
+    original = getattr(engine, name)
 
-    def counting(x, y):
+    def counting(*args):
         calls[0] += 1
-        return original(x, y)
+        return original(*args)
 
-    mp.setattr(engine, "combine_parallel", counting)
+    mp.setattr(engine, name, counting)
     return calls
 
 
-def bit_snapshot(state):
-    """snapshot() with every float as its hex form, so that equality is bit
-    equality (== would equate -0.0 and 0.0)."""
-    cfs, ante, buckets = snapshot(state)
+def hex_maps(cfs, ante, buckets):
+    """The three state maps with every float as its hex form, so that
+    equality is bit equality (== would equate -0.0 and 0.0)."""
     hexed = lambda d: {k: v.hex() for k, v in d.items()}
     return hexed(cfs), hexed(ante), {p: hexed(b) for p, b in buckets.items()}
+
+
+def bit_snapshot(state):
+    return hex_maps(*snapshot(state))
+
+
+def reference_pass(rb, obj, threshold):
+    """The fold the firing plan must reproduce bit for bit: every rule once
+    in topological order, its contribution combined into its consequent's
+    CF as it fires."""
+    env = {
+        p.id: obj.facts.get(p.id, 0.0) if p.kind == INPUT else 0.0
+        for p in rb.propositions.values()
+    }
+    ante, buckets = {}, {}
+    for rid in rb.topological_order():
+        rule = rb.rules_by_id[rid]
+        a = eval_expr(rule.antecedent, env)
+        ante[rid] = a
+        bucket = buckets.setdefault(rule.consequent, {})
+        if a > threshold:
+            bucket[rid] = rule.weight * a
+            env[rule.consequent] = combine_parallel(env[rule.consequent], bucket[rid])
+    return env, ante, buckets
+
+
+class TestFiringPlan:
+    """The compiled plan against the plain topological fold, over random
+    layered DAGs with compound antecedents and random thresholds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        threshold=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.99)),
+    )
+    def test_full_pass_equals_the_topological_fold(self, seed, threshold):
+        rng = random.Random(seed)
+        rb = random_rulebase(rng, max_rules=40)
+        obj = random_object(rng, rb)
+        state = evaluate_full(rb, obj, FiringPolicy(threshold=threshold))
+        expected = reference_pass(rb, obj, threshold)
+        assert bit_snapshot(state) == hex_maps(*expected)
+        assert state.counters.rules_fired == sum(len(b) for b in expected[2].values())
+
+    @pytest.mark.parametrize("antecedent", [Ref("ghost"), And((Ref("f"), Ref("ghost")))])
+    def test_unknown_reference_raises_unbound(self, antecedent):
+        # an unchecked base; a fact for an undeclared proposition binds nothing
+        props = [Proposition("f", INPUT), Proposition("c", DERIVED, output_class=True)]
+        rb = RuleBase(props, [Rule(id="r1", antecedent=antecedent, consequent="c", weight=0.5)])
+        obj = TrainingObject(id="o", facts={"f": 0.5, "ghost": 0.5}, label="c")
+        with pytest.raises(UnboundProposition):
+            evaluate_full(rb, obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_closure_order_is_the_topological_order_filtered(self, seed):
+        rb = random_rulebase(random.Random(seed), max_rules=40)
+        topo = rb.topological_order()
+        for r in rb.rules:
+            closure = rb.downstream_closure(r.id)
+            order = rb.closure_order(r.id)
+            assert order == tuple(rid for rid in topo if rid in closure)
+            plan = rb.closure_plan(r.id)
+            assert tuple(rule.id for rule, *_ in plan) == order
+            for rule, _, consequent, refs, incoming in plan:
+                assert consequent == rule.consequent
+                assert refs == rb.antecedent_refs(rule.id)
+                assert incoming == rb.incoming_rules(consequent)
+
+
+class TestCounters:
+    """perfbench's traced run counts combines and antecedent evaluations by
+    wrapping engine.combine_parallel and engine.eval_expr, so the engine
+    must reach both through the module at call time."""
+
+    def test_full_pass_combines_once_per_firing_rule(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            rb = random_rulebase(rng, max_rules=40)
+            obj = random_object(rng, rb)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = count_calls(mp, "combine_parallel")
+                state = evaluate_full(rb, obj)
+            firing = sum(len(b) for b in state.contributions.values())
+            assert calls[0] == firing == state.counters.rules_fired
+
+    def test_only_compound_antecedents_are_evaluated(self):
+        rng = random.Random(4)
+        for _ in range(20):
+            rb = random_rulebase(rng, max_rules=40)
+            obj = random_object(rng, rb)
+            compound = sum(type(r.antecedent) is not Ref for r in rb.rules)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = count_calls(mp, "eval_expr")
+                evaluate_full(rb, obj)
+            assert calls[0] == compound
+
+    def test_a_replayed_probe_makes_no_combine(self):
+        rb = chain3_base()
+        obj = TrainingObject(id="o", facts={"f": 0.6}, label="c")
+        state = evaluate_full(rb, obj)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_calls(mp, "combine_parallel")
+            assert perturb_weight(state, rb, "r1", 0.2) == 3
+            assert calls[0] == 3  # one refold of a one-rule fan-in per re-fire
+            assert restore_weight(state, rb, "r1", 0.9) == 0
+            assert calls[0] == 3
 
 
 class TestClassify:
