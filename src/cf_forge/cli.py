@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 invalid flags or input files, 3 optimization
 failure (line search exhausted; partial outputs are still written), and 1
 for a failed audit.  Every command is bit-reproducible for a fixed seed;
-the environment variable CF_FORGE_SEED supplies the default seed.
+the environment variable CF_FORGE_SEED supplies the default seed, and a
+value that is not an integer exits 2.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ from .synth import SynthSpec, generate, generate_shaped
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("CF_FORGE_SEED", "0")
     try:
-        return int(os.environ.get("CF_FORGE_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"CF_FORGE_SEED must be an integer, got {raw!r}") from None
 
 
 def _write_json(doc, path) -> None:
@@ -136,14 +138,17 @@ def cmd_train(args) -> int:
     wall = time.perf_counter() - started
     save_rulebase(trained, out / "trained.json")
     _write_json(trace.to_dict(), out / "trace.json")
+    # scores come from the trace (over the training split, and the holdout
+    # when there is one); accuracy is over the whole --data file
+    last = vars(trace.iterations[-1]) if trace.iterations else trace.initial
     report = {
         "config": trace.config,
         "status": trace.status,
         "initial": dict(trace.initial, accuracy=_evaluate(rb, dataset, args.mu, args.tau)["accuracy"]),
-        "final": {
-            "objective": trace.final_objective,
-            **{k: v for k, v in _evaluate(trained, dataset, args.mu, args.tau).items() if k != "objective"},
-        },
+        "final": dict(
+            {k: last[k] for k in trace.initial},
+            accuracy=_evaluate(trained, dataset, args.mu, args.tau)["accuracy"],
+        ),
         "holdout_curve": [
             rec.holdout_objective for rec in trace.iterations
         ] if trace.holdout_size else [],
@@ -270,9 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CfForgeError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

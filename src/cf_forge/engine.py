@@ -100,9 +100,6 @@ class ObjectEvaluation:
         self.counters = EvalCounters()
         self.undo: tuple[str, float | None, list] | None = None
 
-    def class_cfs(self, rb: RuleBase) -> dict[str, float]:
-        return {cid: self.prop_cf[cid] for cid in rb.output_classes}
-
     def check_consistent(self, rb: RuleBase) -> None:
         """Verify the refold invariant; raises InconsistentState."""
         for prop_id, bucket in self.contributions.items():

@@ -36,7 +36,7 @@ import json
 import os
 import stat
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -166,6 +166,12 @@ class RuleBase:
         if not isinstance(other, RuleBase):
             return NotImplemented
         return self.propositions == other.propositions and self.rules == other.rules
+
+    def copy(self) -> "RuleBase":
+        """A base of its own Rule objects, so that its weights can change
+        without touching this one; propositions and the frozen antecedents
+        are shared."""
+        return RuleBase(self.propositions.values(), [replace(r) for r in self.rules])
 
     def rule(self, rule_id: str) -> Rule:
         try:
@@ -444,7 +450,7 @@ def _take(doc: dict, key: str, where: str, types, required=True, default=None):
     return value
 
 
-def from_dict(doc, check: bool = True) -> RuleBase:
+def from_dict(doc) -> RuleBase:
     if not isinstance(doc, dict):
         raise ParseError("rule-base document must be a JSON object", "$")
     props = []
@@ -475,18 +481,24 @@ def from_dict(doc, check: bool = True) -> RuleBase:
                 id=_take(rd, "id", where, str),
                 antecedent=expr_from_json(_take(rd, "if", where, (str, dict)), f"{where}.if"),
                 consequent=_take(rd, "then", where, str),
-                weight=float(weight),
-                bounds=(float(bounds[0]), float(bounds[1])),
+                weight=_float(weight, "weight", where),
+                bounds=(_float(bounds[0], "bounds", where), _float(bounds[1], "bounds", where)),
                 bound_kind=_take(rd, "bound_kind", where, str, required=False, default=HARD),
                 trainable=_take(rd, "trainable", where, bool, required=False, default=True),
             )
         )
     rb = RuleBase(props, rules)
-    if check:
-        violations = validate(rb)
-        if violations:
-            raise ValidationError(violations)
+    violations = validate(rb)
+    if violations:
+        raise ValidationError(violations)
     return rb
+
+
+def _float(value: int | float, field: str, where: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ParseError(f"field {field!r} is too large for a float", where) from None
 
 
 def serialize(rb: RuleBase) -> str:
@@ -504,13 +516,14 @@ def decode_json(text: str, where: str | None = None):
         raise ParseError(e.msg, where or f"line {e.lineno} col {e.colno}") from None
     except RecursionError:
         raise ParseError("JSON nested too deeply to decode", where or "$") from None
+    except ValueError:  # json's cap on the digits of an integer literal
+        raise ParseError("integer literal has too many digits to decode", where or "$") from None
 
 
-def parse(text: str, check: bool = True) -> RuleBase:
+def parse(text: str) -> RuleBase:
     """Parse a rule-base document.  Structural problems raise ParseError
-    with a field location; invariant violations raise ValidationError
-    unless check is False."""
-    return from_dict(decode_json(text), check=check)
+    with a field location; invariant violations raise ValidationError."""
+    return from_dict(decode_json(text))
 
 
 @contextmanager
@@ -523,15 +536,23 @@ def open_replacing(path) -> Iterator[TextIO]:
     file behind.  Nothing is fsynced, so a power loss may still lose the
     new file.  The directory must be writable; a file that replaces an
     existing one keeps its permission bits.  A symbolic link keeps pointing
-    where it did: its target is replaced.  A path that exists but is no
-    regular file (a pipe or a device), or that names an open descriptor
-    (/dev/stdout -> /proc/self/fd/1 leads to whatever fd 1 is open on), has
-    nothing to replace and is written directly, in append mode: opening
-    /dev/stdout for writing would truncate a file the shell redirected
-    stdout to, and lose what was already written there.
+    where it did: its target is replaced.  A path that names one of this
+    process's open descriptors (/dev/stdout, /dev/stderr, /dev/fd/N or
+    /proc/self/fd/N) is written through a duplicate of that descriptor,
+    which shares the shell's file offset: reopening /dev/stdout after
+    ``> log`` would write from an offset of its own, and the shell's later
+    output would overwrite the document.  Any other path that exists but is
+    no regular file (a pipe or a device), or that lies under /dev or /proc,
+    has nothing to replace and is written directly, in append mode.
     """
     path = Path(path)
-    if _names_a_descriptor(path) or (path.exists() and not path.is_file()):
+    special = _special_path(path)
+    fd = _own_descriptor(special) if special else None
+    if fd is not None:
+        with open(os.dup(fd), "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    if special or (path.exists() and not path.is_file()):
         with open(path, "a", encoding="utf-8") as fh:
             yield fh
         return
@@ -549,17 +570,26 @@ def open_replacing(path) -> Iterator[TextIO]:
         tmp.unlink(missing_ok=True)
 
 
-def _names_a_descriptor(path: Path) -> bool:
-    """Whether ``path``, or a symbolic link it leads through, lies under
-    /dev or /proc."""
+def _special_path(path: Path) -> str | None:
+    """The path under /dev or /proc that ``path``, or a chain of symbolic
+    links from it, leads to; None when it leads elsewhere."""
     p = os.path.abspath(path)
     for _ in range(40):  # the kernel's own limit on a chain of links
         if p.split(os.sep)[1] in ("dev", "proc"):
-            return True
+            return p
         if not os.path.islink(p):
-            return False
+            return None
         p = os.path.normpath(os.path.join(os.path.dirname(p), os.readlink(p)))
-    return False
+    return None
+
+
+def _own_descriptor(special: str) -> int | None:
+    """The number of this process's descriptor that a /dev or /proc path
+    names, or None."""
+    head, _, num = special.rpartition("/")
+    if head in ("/dev/fd", "/proc/self/fd"):
+        return int(num) if num.isascii() and num.isdigit() else None
+    return {"/dev/stdout": 1, "/dev/stderr": 2}.get(special)
 
 
 def save_rulebase(rb: RuleBase, path) -> None:
@@ -567,8 +597,8 @@ def save_rulebase(rb: RuleBase, path) -> None:
         fh.write(serialize(rb))
 
 
-def load_rulebase(path, check: bool = True) -> RuleBase:
-    return parse(Path(path).read_text(encoding="utf-8"), check=check)
+def load_rulebase(path) -> RuleBase:
+    return parse(Path(path).read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +631,7 @@ def load_dataset(path) -> list[TrainingObject]:
             raw_facts = _take(doc, "facts", where, dict, required=False, default={})
             facts = {}
             for k, v in raw_facts.items():
-                if not isinstance(v, (int, float)) or isinstance(v, bool) or not is_cf(float(v)):
+                if not isinstance(v, (int, float)) or isinstance(v, bool) or not is_cf(v):
                     raise ParseError(f"fact {k!r} is not a certainty factor: {v!r}", where)
                 facts[k] = float(v)
             if oid in seen:

@@ -22,20 +22,28 @@ speedup is never a semantics change.  Line-search candidates move every
 trainable weight at once, so those are full passes and are accounted
 separately.
 
+Every full pass goes through one scoring routine, ``_Session.score``, which
+re-evaluates one part's reusable states and returns (objective, metric,
+penalty): the initial score, each line-search candidate, the restore after
+a failed search, each holdout evaluation and, in naive mode (``use_tms``
+off), each probe, which re-scores a scratch copy of the training part.
+
 Accounting: ``probe_evals`` counts one per (rule, object) probe (two per
 pair for non-degenerate central differences).  In naive forward mode every
 probe is a genuine full pass, so at termination
 ``probe_evals == gradients x objects x trainable_rules`` exactly;
 ``audit_budget`` checks that identity.  Line-search evaluations are counted
-in their own field and excluded by definition.  ``firings`` counts the
-rules the engine actually fired, so a replayed restore adds nothing.
+in their own field and excluded by definition.  ``firings`` is read from
+the states: the sum of the engine's own ``rules_fired`` counters over every
+state the run evaluated (training, holdout and scratch), taken once when
+the run returns, so a replayed restore adds nothing.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 from .engine import FiringPolicy, ObjectEvaluation, evaluate_full, perturb_weight, restore_weight
@@ -207,22 +215,26 @@ def _project(rule: Rule, w: float) -> float:
     return min(max(w, lo), hi)
 
 
-def _copy_weights(rb: RuleBase) -> RuleBase:
-    """A base of its own Rule objects, so that its weights can change
-    without touching rb; propositions and the frozen antecedents are
-    shared."""
-    return RuleBase(rb.propositions.values(), [replace(r) for r in rb.rules])
-
-
 def _is_trainable(rule: Rule, cfg: OptimizerConfig) -> bool:
     if not rule.trainable:
         return False
     return cfg.train_only is None or rule.id in cfg.train_only
 
 
+class _Part:
+    """Objects scored together, each with one reusable evaluation state."""
+
+    def __init__(self, objects: Sequence[TrainingObject]):
+        self.objects = list(objects)
+        self.labels = {o.id: o.label for o in self.objects}
+        self.states = [ObjectEvaluation(o.id) for o in self.objects]
+
+
 class _Session:
-    """Exclusive-access training state: the working rule base, per-object
-    evaluation caches, and the budget counters."""
+    """Exclusive-access state of one training run: the working rule base,
+    the training part, the holdout part, in naive mode a scratch part of
+    the training objects that every probe re-scores, and the budget
+    counters.  Every full pass goes through score()."""
 
     def __init__(
         self,
@@ -230,41 +242,45 @@ class _Session:
         objects: Sequence[TrainingObject],
         cfg: OptimizerConfig,
         metric_fn: MetricFn,
+        holdout: Sequence[TrainingObject] = (),
+        budget: EvaluationBudget | None = None,
     ):
+        if not objects:
+            raise EmptyDataset(
+                "holdout split left no training objects" if holdout
+                else "training needs at least one object"
+            )
         self.rb = rb
-        self.objects = list(objects)
         self.cfg = cfg
         self.metric_fn = metric_fn
         self.policy = FiringPolicy(threshold=cfg.threshold)
-        self.labels = {o.id: o.label for o in self.objects}
         self.classes = rb.output_classes
         if cfg.train_only is not None:
             for rid in cfg.train_only:
                 rb.rule(rid)
         self.trainable = [r for r in rb.rules if _is_trainable(r, cfg)]
-        self.budget = EvaluationBudget(
-            objects=len(self.objects), trainable_rules=len(self.trainable)
-        )
-        self.states: list[ObjectEvaluation] = []
+        if not self.trainable:
+            raise NoTrainableRules("no rule is trainable")
+        self.train = _Part(objects)
+        self.holdout = _Part(holdout)
+        self.scratch = _Part(() if cfg.use_tms else objects)
+        self.budget = budget if budget is not None else EvaluationBudget()
+        self.budget.objects = len(self.train.objects)
+        self.budget.trainable_rules = len(self.trainable)
 
-    def init_states(self) -> None:
-        for obj in self.objects:
-            st = evaluate_full(self.rb, obj, self.policy)
-            self.budget.firings += st.counters.rules_fired
-            self.states.append(st)
-
-    def refresh_states(self, line_search: bool = False) -> None:
-        for st, obj in zip(self.states, self.objects):
-            before = st.counters.rules_fired
+    def score(self, part: _Part) -> tuple[float, float, float]:
+        """Full pass over the part's states at the current weights:
+        (objective, metric, penalty)."""
+        for st, obj in zip(part.states, part.objects):
             evaluate_full(self.rb, obj, self.policy, into=st)
-            self.budget.firings += st.counters.rules_fired - before
-        if line_search:
-            self.budget.line_search_evals += len(self.states)
-
-    def objective_parts(self) -> tuple[float, float, float]:
-        m = self.metric_fn(self.states, self.labels, self.classes).value
+        m = self.metric_fn(part.states, part.labels, self.classes).value
         p = penalty(self.rb, self.cfg.penalty)
         return m + p, m, p
+
+    def fired(self) -> int:
+        """Rules fired so far by every state this session evaluated."""
+        parts = (self.train, self.holdout, self.scratch)
+        return sum(st.counters.rules_fired for part in parts for st in part.states)
 
     def _probe_objective(self, rule: Rule, w_probe: float, base_pen: float) -> float:
         """Objective with one weight displaced, everything else fixed;
@@ -273,30 +289,21 @@ class _Session:
         rule.weight = w_probe
         try:
             if self.cfg.use_tms:
-                for st in self.states:
-                    self.budget.firings += perturb_weight(
-                        st, self.rb, rule.id, w_probe, self.policy
-                    )
-                value = self.metric_fn(self.states, self.labels, self.classes).value
+                states = self.train.states
+                for st in states:
+                    perturb_weight(st, self.rb, rule.id, w_probe, self.policy)
+                value = self.metric_fn(states, self.train.labels, self.classes).value
                 if rule.bound_kind == SOFT:
                     value += penalty(self.rb, self.cfg.penalty)
                 else:  # the rule adds no penalty term at any weight
                     value += base_pen
-                for st in self.states:
-                    self.budget.firings += restore_weight(
-                        st, self.rb, rule.id, old, self.policy
-                    )
+                for st in states:
+                    restore_weight(st, self.rb, rule.id, old, self.policy)
             else:
-                probe_states = []
-                for obj in self.objects:
-                    st = evaluate_full(self.rb, obj, self.policy)
-                    self.budget.firings += st.counters.rules_fired
-                    probe_states.append(st)
-                value = self.metric_fn(probe_states, self.labels, self.classes).value
-                value += penalty(self.rb, self.cfg.penalty)
+                value = self.score(self.scratch)[0]
         finally:
             rule.weight = old
-        self.budget.probe_evals += len(self.objects)
+        self.budget.probe_evals += len(self.train.objects)
         return value
 
     def gradient(self, base_objective: float) -> dict[str, float]:
@@ -339,21 +346,20 @@ class _Session:
         while True:
             for r in self.trainable:
                 r.weight = _project(r, w0[r.id] - step * g[r.id])
-            self.refresh_states(line_search=True)
-            f_cand, m_cand, p_cand = self.objective_parts()
+            self.budget.line_search_evals += len(self.train.objects)
+            f_cand, m_cand, p_cand = self.score(self.train)
             if f_cand <= f_base - cfg.armijo_c * step * g_sq:
                 return True, step, backtracks, f_cand, m_cand, p_cand
             backtracks += 1
             if backtracks > cfg.max_backtracks:
                 for r in self.trainable:
                     r.weight = w0[r.id]
-                self.refresh_states(line_search=True)
+                self.budget.line_search_evals += len(self.train.objects)
+                self.score(self.train)
                 return False, 0.0, backtracks, f_base, 0.0, 0.0
             step *= cfg.shrink
 
     def boundary_stall(self) -> bool:
-        if not self.trainable:
-            return False
         on_bound = 0
         for r in self.trainable:
             lo, hi = _projection_interval(r)
@@ -373,18 +379,10 @@ def gradient(
     current weights, indexed by trainable rule id.  Weights and dataset are
     left untouched; pass a budget to observe the probe accounting."""
     cfg = cfg or OptimizerConfig()
-    if not dataset:
-        raise EmptyDataset("gradient needs at least one object")
-    sess = _Session(rb, dataset, cfg, metric_fn)
-    if not sess.trainable:
-        raise NoTrainableRules("no rule is trainable")
-    if budget is not None:
-        sess.budget = budget
-        budget.objects = len(sess.objects)
-        budget.trainable_rules = len(sess.trainable)
-    sess.init_states()
-    base, _, _ = sess.objective_parts()
-    return sess.gradient(base)
+    sess = _Session(rb, dataset, cfg, metric_fn, budget=budget)
+    g = sess.gradient(sess.score(sess.train)[0])
+    sess.budget.firings += sess.fired()
+    return g
 
 
 def _split_dataset(
@@ -401,23 +399,6 @@ def _split_dataset(
     return [dataset[i] for i in train_idx], [dataset[i] for i in hold]
 
 
-class _HoldoutTracker:
-    def __init__(self, sess: _Session, objects: list[TrainingObject]):
-        self.sess = sess
-        self.objects = objects
-        self.labels = {o.id: o.label for o in objects}
-        self.states = [ObjectEvaluation(o.id) for o in objects]
-
-    def evaluate(self) -> float:
-        sess = self.sess
-        for st, obj in zip(self.states, self.objects):
-            before = st.counters.rules_fired
-            evaluate_full(sess.rb, obj, sess.policy, into=st)
-            sess.budget.firings += st.counters.rules_fired - before
-        m = sess.metric_fn(self.states, self.labels, sess.classes).value
-        return m + penalty(sess.rb, sess.cfg.penalty)
-
-
 def train(
     rb: RuleBase,
     dataset: Sequence[TrainingObject],
@@ -432,21 +413,13 @@ def train(
     identical.
     """
     cfg = cfg or OptimizerConfig()
-    if not dataset:
-        raise EmptyDataset("training needs at least one object")
-    work = _copy_weights(rb)
+    work = rb.copy()
     train_objs, holdout_objs = _split_dataset(dataset, cfg)
-    if not train_objs:
-        raise EmptyDataset("holdout split left no training objects")
-    sess = _Session(work, train_objs, cfg, metric_fn)
-    if not sess.trainable:
-        raise NoTrainableRules("no rule is trainable")
-    sess.init_states()
-    f_cur, m_cur, p_cur = sess.objective_parts()
-    holdout = _HoldoutTracker(sess, holdout_objs) if holdout_objs else None
+    sess = _Session(work, train_objs, cfg, metric_fn, holdout_objs)
+    f_cur, m_cur, p_cur = sess.score(sess.train)
     initial = {"objective": f_cur, "metric": m_cur, "penalty": p_cur}
-    if holdout:
-        initial["holdout_objective"] = holdout.evaluate()
+    if holdout_objs:
+        initial["holdout_objective"] = sess.score(sess.holdout)[0]
     records: list[IterationRecord] = []
     status = "max_iters"
     stall = 0
@@ -472,7 +445,7 @@ def train(
                 step=step,
                 grad_inf_norm=g_inf,
                 backtracks=backtracks,
-                holdout_objective=holdout.evaluate() if holdout else None,
+                holdout_objective=sess.score(sess.holdout)[0] if holdout_objs else None,
             )
         )
         if rel < cfg.tol_objective:
@@ -482,6 +455,7 @@ def train(
                 break
         else:
             stall = 0
+    sess.budget.firings += sess.fired()
     trace = TrainingTrace(
         config=_config_dict(cfg),
         status=status,
@@ -514,7 +488,7 @@ def train_multi(
     traces: list[TrainingTrace] = []
     summaries: list[dict] = []
     for start in range(cfg.multi_start):
-        init_rb = _copy_weights(rb)
+        init_rb = rb.copy()
         if start > 0:
             for r in init_rb.rules:
                 if _is_trainable(r, cfg):
@@ -562,9 +536,8 @@ def run_gradient_bench(
     rb, objects = generate_shaped(n_rules, shape, seed)
     cfg = OptimizerConfig(use_tms=(mode == "tms"), seed=seed)
     sess = _Session(rb, objects, cfg, margin_metric)
-    sess.init_states()
-    base, _, _ = sess.objective_parts()
-    fired_before = sess.budget.firings
+    base = sess.score(sess.train)[0]
+    fired_before = sess.fired()
     sess.gradient(base)
     return {
         "shape": shape,
@@ -572,6 +545,6 @@ def run_gradient_bench(
         "mode": mode,
         "objects": len(objects),
         "trainable_rules": sess.budget.trainable_rules,
-        "gradient_firings": sess.budget.firings - fired_before,
+        "gradient_firings": sess.fired() - fired_before,
         "probe_evals": sess.budget.probe_evals,
     }

@@ -15,7 +15,6 @@ internal proposition pools two child rules and feeds one parent rule.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
 
@@ -87,24 +86,11 @@ def generate(spec: SynthSpec):
     ]
     rb_zero = RuleBase(props, rules)
 
-    expert_rules = []
-    for r in rules:
-        f = r.antecedent.prop
-        owner = feat_class[f]
-        if owner is None:
-            w = 0.0
-        elif owner == r.consequent:
-            w = EXPERT_TRUE
-        else:
-            w = EXPERT_CROSS
-        expert_rules.append(
-            Rule(id=r.id, antecedent=r.antecedent, consequent=r.consequent, weight=w)
-        )
-    rb_expert = RuleBase(
-        [Proposition(f, INPUT) for f in feats]
-        + [Proposition(c, DERIVED, output_class=True) for c in classes],
-        expert_rules,
-    )
+    rb_expert = rb_zero.copy()
+    for r in rb_expert.rules:
+        owner = feat_class[r.antecedent.prop]
+        if owner is not None:  # an irrelevant pair keeps weight 0.0
+            r.weight = EXPERT_TRUE if owner == r.consequent else EXPERT_CROSS
 
     objects = []
     width = max(3, len(str(spec.objects - 1)))
@@ -141,7 +127,7 @@ def refine_expert(
     true pairs move toward +1, relevant-but-wrong pairs toward -1.  Stands
     in for an expert performing a round of iterative refinement."""
     rng = random.Random(seed)
-    refined = copy.deepcopy(rb_expert)
+    refined = rb_expert.copy()
     truth_pairs = {(f, c) for c, fs in truth.items() for f in fs}
     relevant = {f for fs in truth.values() for f in fs}
     for r in refined.rules:

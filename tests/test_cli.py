@@ -112,6 +112,44 @@ class TestTrain:
             if r0.id not in ("r_f000_c0", "r_f001_c1"):
                 assert r1.weight == r0.weight
 
+    @pytest.mark.parametrize("holdout", ["0.2", "0"])
+    def test_report_final_block_comes_from_the_trace(self, gen_dir, tmp_path, holdout):
+        out = tmp_path / "run"
+        rc = run(
+            "train", "--rules", str(gen_dir / "rules.json"),
+            "--data", str(gen_dir / "train.jsonl"), "--out", str(out),
+            "--seed", "3", "--max-iters", "5", "--step-init", "0.01", "--holdout", holdout,
+        )
+        assert rc == 0
+        report, trace = read_json(out / "report.json"), read_json(out / "trace.json")
+        final, last = report["final"], trace["iterations"][-1]
+        # objective, metric and penalty describe one set of objects
+        assert final["objective"] == final["metric"] + final["penalty"]
+        assert list(final) == list(report["initial"])
+        for key in report["initial"]:
+            if key != "accuracy":
+                assert final[key] == last[key]
+        assert ("holdout_objective" in final) == (holdout != "0")
+        # accuracy is measured over the whole --data file
+        run("eval", "--rules", str(out / "trained.json"), "--data", str(gen_dir / "train.jsonl"),
+            "--out", str(out / "eval.json"))
+        whole = read_json(out / "eval.json")
+        assert final["accuracy"] == whole["accuracy"]
+        if holdout == "0":  # the training split is the whole file
+            assert {k: final[k] for k in ("objective", "metric", "penalty")} == {
+                k: whole[k] for k in ("objective", "metric", "penalty")}
+
+    def test_report_final_block_without_accepted_iterations(self, gen_dir, tmp_path):
+        # training stops at a point where every weight is pinned to a bound
+        # by its gradient; training that result again accepts no iteration
+        args = ("--data", str(gen_dir / "train.jsonl"), "--seed", "42", "--max-iters", "25")
+        assert run("train", "--rules", str(gen_dir / "rules.json"), "--out", str(tmp_path / "a"), *args) == 3
+        again = tmp_path / "b"
+        assert run("train", "--rules", str(tmp_path / "a" / "trained.json"), "--out", str(again), *args) == 3
+        report = read_json(again / "report.json")
+        assert report["iterations"] == 0
+        assert report["final"] == report["initial"]
+
     def test_missing_rules_file_exits_2(self, tmp_path, capsys):
         rc = run("train", "--rules", str(tmp_path / "nope.json"),
                  "--data", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path))
@@ -204,6 +242,8 @@ def nested_not_rulebase(depth):
 
 
 DATA = '{"id": "o1", "facts": {"f000": 0.5}, "label": "c0"}\n'
+HUGE = "1" + "0" * 400  # an integer literal beyond the float range
+TOO_LONG = "1" * 5000  # more digits than json decodes
 
 
 class TestRobustness:
@@ -250,6 +290,32 @@ class TestRobustness:
         (tmp_path / "data.jsonl").write_text(DATA)
         rc = run(command, "--rules", str(tmp_path / "rules.json"),
                  "--data", str(tmp_path / "data.jsonl"), "--out", str(tmp_path / "out"))
+        assert_one_error(capsys, rc)
+
+    @pytest.mark.parametrize(
+        "weight, bounds, fact",
+        [
+            (HUGE, "[-1, 1]", "0.5"),
+            ("0.5", f"[-1, {HUGE}]", "0.5"),
+            ("0.5", "[-1, 1]", HUGE),
+            (TOO_LONG, "[-1, 1]", "0.5"),
+            ("0.5", "[-1, 1]", TOO_LONG),
+        ],
+        ids=["weight", "bounds", "fact", "long-weight", "long-fact"],
+    )
+    def test_integer_beyond_a_float(self, tmp_path, capsys, weight, bounds, fact):
+        (tmp_path / "rules.json").write_text(
+            '{"propositions": [{"id": "f000", "kind": "input"},'
+            ' {"id": "c0", "kind": "derived", "output_class": true},'
+            ' {"id": "c1", "kind": "derived", "output_class": true}],'
+            f' "rules": [{{"id": "r1", "if": "f000", "then": "c0", "weight": {weight},'
+            f' "bounds": {bounds}}}]}}'
+        )
+        (tmp_path / "data.jsonl").write_text(
+            f'{{"id": "o1", "facts": {{"f000": {fact}}}, "label": "c0"}}\n'
+        )
+        rc = run("eval", "--rules", str(tmp_path / "rules.json"),
+                 "--data", str(tmp_path / "data.jsonl"))
         assert_one_error(capsys, rc)
 
     def test_deepest_allowed_antecedent_trains(self, tmp_path):
@@ -335,14 +401,17 @@ class TestAtomicWrites:
             "--rules", str(gen_dir / "rules.json"), "--data", str(gen_dir / "train.jsonl"),
             "--out", "/dev/stdout",
         ])
-        script = f"{{ echo before; {evaluate}; }} {redirect} {shlex.quote(str(log))}"
+        script = f"{{ echo before; {evaluate}; echo after; }} {redirect} {shlex.quote(str(log))}"
         src = os.path.dirname(os.path.dirname(os.path.abspath(cf_forge.__file__)))
         subprocess.run(
             ["sh", "-c", script], env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120
         )
         first, rest = log.read_text().split("\n", 1)
         assert first == "before"
-        assert set(json.loads(rest)) >= {"metric", "accuracy"}
+        # the document is whole and the shell's later output follows it
+        doc, last = rest.rsplit("}\n", 1)
+        assert set(json.loads(doc + "}")) >= {"metric", "accuracy"}
+        assert last == "after\n"
 
     def test_train_outputs_replace_earlier_ones(self, gen_dir, tmp_path):
         out = tmp_path / "run"
@@ -363,6 +432,7 @@ def assert_one_error(capsys, rc):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+    return lines[0]
 
 
 class TestSeedEnv:
@@ -380,3 +450,11 @@ class TestSeedEnv:
         run("gen", "--features", "4", "--classes", "2", "--objects", "6",
             "--out", str(out3))
         assert (out1 / "train.jsonl").read_bytes() != (out3 / "train.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_env_seed_not_an_integer(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("CF_FORGE_SEED", value)
+        rc = run("gen", "--features", "4", "--classes", "2", "--objects", "6",
+                 "--out", str(tmp_path))
+        assert "CF_FORGE_SEED" in assert_one_error(capsys, rc)
+        assert not (tmp_path / "train.jsonl").exists()

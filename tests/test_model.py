@@ -1,11 +1,14 @@
 """Rule-base model: validation, graph queries, and serialization."""
 
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cf_forge import (
     And,
+    CfForgeError,
     CyclicDependency,
     ParseError,
     Proposition,
@@ -244,6 +247,18 @@ class TestSerialization:
         with pytest.raises(ParseError, match=r"rules\[0\]\.if\.and\[0\](\.not)+: antecedent nested"):
             from_dict(doc)
 
+    def test_integer_beyond_a_float(self):
+        for field, value in (("weight", 10**400), ("bounds", [-1, 10**400])):
+            doc = to_dict(tiny_base())
+            doc["rules"][0][field] = value
+            with pytest.raises(ParseError, match=rf"rules\[0\]: field '{field}' is too large"):
+                from_dict(doc)
+
+    def test_integer_with_too_many_digits(self):
+        text = serialize(tiny_base()).replace('"weight": 0.0', '"weight": ' + "1" * 5000)
+        with pytest.raises(ParseError, match="too many digits"):
+            parse(text)
+
     def test_json_too_deep_to_decode(self):
         with pytest.raises(ParseError, match="nested too deeply"):
             parse('{"propositions": ' + "[" * 5000 + "]" * 5000 + "}")
@@ -260,6 +275,73 @@ class TestSerialization:
         )
         r = rb.rules[0]
         assert r.bounds == (-1.0, 1.0) and r.bound_kind == "hard" and r.trainable
+
+
+class TestCopy:
+    def test_copy_owns_its_rules_and_shares_the_rest(self):
+        rb = chain_base()
+        dup = rb.copy()
+        assert dup == rb
+        for r0, r1 in zip(rb.rules, dup.rules):
+            assert r1 is not r0 and r1.antecedent is r0.antecedent
+        assert all(dup.propositions[k] is p for k, p in rb.propositions.items())
+        dup.rules[0].weight = -rb.rules[0].weight + 0.25
+        assert rb.rules[0].weight != dup.rules[0].weight
+        assert dup.rule(dup.rules[0].id) is dup.rules[0]
+
+
+# JSON documents for the parse properties: keys and strings drawn from the
+# formats' own vocabulary, so that many documents get deep into parsing,
+# and integers beyond the float range
+_WORDS = ["propositions", "rules", "id", "kind", "output_class", "if", "then", "weight",
+          "bounds", "bound_kind", "trainable", "and", "or", "not", "facts", "label",
+          "input", "derived", "hard", "soft", "f", "c"]
+_KEYS = st.sampled_from(_WORDS) | st.text(max_size=3)
+_SCALARS = (
+    st.none() | st.booleans() | st.floats() | st.sampled_from(_WORDS) | st.text(max_size=3)
+    | st.integers() | st.integers(min_value=10**300, max_value=10**400)
+    | st.sampled_from([-1, 0, 1, 0.5, -0.5])
+)
+_JSON = st.recursive(
+    _SCALARS, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_KEYS, kids, max_size=4),
+    max_leaves=12,
+)
+_OBJECT = st.dictionaries(_KEYS, _JSON, max_size=7)
+_RULE_BASE_LIKE = st.fixed_dictionaries(
+    {"propositions": st.lists(_OBJECT, max_size=3), "rules": st.lists(_OBJECT, max_size=3)}
+)
+_OBJECT_LINE_LIKE = st.fixed_dictionaries(
+    {"id": _JSON, "label": _JSON, "facts": st.dictionaries(_KEYS, _JSON, max_size=3)}
+)
+_HUGE_RULE_BASE = {
+    "propositions": [{"id": "f", "kind": "input"},
+                     {"id": "c", "kind": "derived", "output_class": True}],
+    "rules": [{"id": "r", "if": "f", "then": "c", "weight": 10**400}],
+}
+
+
+class TestParseProperties:
+    """Any JSON input either loads or raises CfForgeError."""
+
+    @settings(deadline=None)
+    @given(_JSON | _RULE_BASE_LIKE)
+    @example(_HUGE_RULE_BASE)
+    def test_from_dict_loads_or_raises(self, doc):
+        try:
+            from_dict(doc)
+        except CfForgeError:
+            pass
+
+    @settings(deadline=None)
+    @given(_OBJECT | _OBJECT_LINE_LIKE)
+    @example({"id": "o", "facts": {"f": 10**400}, "label": "c"})
+    def test_load_dataset_loads_or_raises(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "property.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        try:
+            load_dataset(path)
+        except CfForgeError:
+            pass
 
 
 class TestDataset:

@@ -30,6 +30,7 @@ from cf_forge import (
     train_multi,
 )
 from cf_forge.model import DERIVED, INPUT
+from cf_forge.optimizer import _split_dataset
 
 
 DELETE = object()  # marks a trace field to remove rather than replace
@@ -444,6 +445,58 @@ class TestMultiStart:
         _, tr1, _ = train_multi(rb, data, cfg)
         _, tr2, _ = train_multi(rb, data, cfg)
         assert tr1.to_dict() == tr2.to_dict()
+
+
+class TestFiringsTally:
+    """budget.firings is the engine's own count, summed once over every
+    state a run evaluated.  On a flat generate() base a rule fires on an
+    object exactly when the object's fact for its input is > 0, whatever
+    the weights, so the tally has a closed form in F(S), the number of
+    firing (rule, object) pairs over the objects S."""
+
+    @staticmethod
+    def problem():
+        rb, _, objects, _ = generate(SynthSpec(features=6, classes=3, objects=40, seed=3))
+
+        def pairs(objs):
+            return sum(o.facts[r.antecedent.prop] > 0 for o in objs for r in rb.rules)
+
+        return rb, objects, pairs
+
+    # step 0.01 accepts all six iterations; step 0.5 pins every weight to a
+    # bound in one step, so the second line search fails and restores
+    @pytest.mark.parametrize("step_init, expected", [(0.01, 5589), (0.5, 13704)])
+    def test_tms_forward_with_holdout(self, step_init, expected):
+        rb, objects, pairs = self.problem()
+        cfg = OptimizerConfig(seed=3, max_iters=6, holdout_fraction=0.2, step_init=step_init)
+        _, trace = train(rb, objects, cfg)
+        train_objs, holdout_objs = _split_dataset(objects, cfg)
+        b, n = trace.budget, len(train_objs)
+        assert b.line_search_evals % n == 0
+        # a probe fires the rule on each object where it fires; the restore
+        # replays the undo log; each full pass fires F(S)
+        assert b.firings == (
+            pairs(train_objs) * (1 + b.line_search_evals // n + b.gradients)
+            + pairs(holdout_objs) * (1 + len(trace.iterations))
+        ) == expected
+
+    @pytest.mark.parametrize("step_init, expected", [(0.01, 54855), (0.5, 33390)])
+    def test_naive_forward(self, step_init, expected):
+        rb, objects, pairs = self.problem()
+        cfg = OptimizerConfig(seed=3, max_iters=6, use_tms=False, step_init=step_init)
+        _, trace = train(rb, objects, cfg)
+        b, n = trace.budget, len(objects)
+        # every probe is a full pass over the training objects
+        assert b.firings == pairs(objects) * (
+            1 + b.line_search_evals // n + b.gradients * len(rb.rules)
+        ) == expected
+
+    def test_gradient_adds_to_a_callers_budget(self):
+        rb, objects, pairs = self.problem()
+        budget = EvaluationBudget(firings=7, gradients=1)
+        gradient(rb, objects, OptimizerConfig(), budget=budget)
+        assert budget.firings == 7 + 2 * pairs(objects)  # the base pass and the probes
+        assert (budget.gradients, budget.objects, budget.trainable_rules) == (2, 40, 18)
 
 
 class TestBench:
