@@ -1,12 +1,28 @@
-"""Steepest-descent training of rule weights with exact work accounting.
+"""Projected steepest-descent training of rule weights with exact work
+accounting.
 
 The loop: evaluate the objective, estimate its gradient with finite
-differences, backtrack along the negative gradient until the Armijo
-condition holds, project hard-bounded weights onto their bounds, repeat.
-Candidates are projected *before* the Armijo test: weights outside [-1, +1]
-are not valid certainty factors and the objective is undefined there, and
-testing the projected point is what guarantees the recorded objective
-sequence never increases.
+differences, test projected stationarity, then backtrack along the
+projection arc until the Armijo condition holds, repeat.  Every weight is
+projected onto its interval: the hard bound, else [-1, +1], since weights
+outside [-1, +1] are not valid certainty factors and the objective is
+undefined there.
+
+- Convergence (``tol_grad``) is tested on the projected gradient's infinity
+  norm, which ``IterationRecord.grad_inf_norm`` records: a component counts
+  as zero when its weight sits on a projection bound and -g points outward.
+  An optimum on a bound is thus a stationary point, not a search failure.
+- A trial step ``a`` is accepted when
+  ``f(P(w - a g)) <= f(w) - armijo_c * g.(w - P(w - a g))`` (Armijo along
+  the projection arc; Bertsekas 1976).  The one formula covers free,
+  pinned and partly projected components.  Candidates are projected before
+  they are scored, so the recorded objective sequence never increases.
+- The first trial step is the Barzilai-Borwein step ``s.s / s.y`` (Barzilai
+  & Borwein 1988), clipped to [BB_STEP_MIN, BB_STEP_MAX]: ``s`` is the last
+  accepted change of the weights, ``y`` the change of the gradient over
+  it.  The first iteration, and any where ``s.y <= 0``, starts at
+  ``step_init``.  A failed search (``max_backtracks`` exhausted) means the
+  gradient gave no descent direction, e.g. at a kink of the objective.
 
 Gradient probes displace one weight at a time, so with incremental
 re-evaluation enabled (``use_tms``) each probe re-fires only the perturbed
@@ -29,8 +45,8 @@ a failed search, each holdout evaluation and, in naive mode (``use_tms``
 off), each probe, which re-scores a scratch copy of the training part.
 
 Accounting: ``probe_evals`` counts one per (rule, object) probe (two per
-pair for non-degenerate central differences).  In naive forward mode every
-probe is a genuine full pass, so at termination
+pair for non-degenerate central differences), in both modes, so a
+forward-difference run ends with
 ``probe_evals == gradients x objects x trainable_rules`` exactly;
 ``audit_budget`` checks that identity.  Line-search evaluations are counted
 in their own field and excluded by definition.  ``firings`` is read from
@@ -50,6 +66,10 @@ from .engine import FiringPolicy, ObjectEvaluation, evaluate_full, perturb_weigh
 from .errors import EmptyDataset, NoTrainableRules, ParseError
 from .metric import MetricFn, PenaltyConfig, margin_metric, penalty
 from .model import HARD, SOFT, Rule, RuleBase, TrainingObject, _take
+
+# clip interval of the Barzilai-Borwein first trial step
+BB_STEP_MIN = 1e-6
+BB_STEP_MAX = 1e3
 
 
 @dataclass
@@ -215,6 +235,20 @@ def _project(rule: Rule, w: float) -> float:
     return min(max(w, lo), hi)
 
 
+def _bb_step(
+    w: list[float], g: list[float], w_prev: list[float], g_prev: list[float], step_init: float
+) -> float:
+    """Barzilai-Borwein first trial step s.s / s.y with s = w - w_prev and
+    y = g - g_prev, clipped to [BB_STEP_MIN, BB_STEP_MAX]; ``step_init``
+    when s.y <= 0."""
+    s = [a - b for a, b in zip(w, w_prev)]
+    y = [a - b for a, b in zip(g, g_prev)]
+    sy = sum(a * b for a, b in zip(s, y))
+    if not sy > 0.0:
+        return step_init
+    return min(max(sum(a * a for a in s) / sy, BB_STEP_MIN), BB_STEP_MAX)
+
+
 def _is_trainable(rule: Rule, cfg: OptimizerConfig) -> bool:
     if not rule.trainable:
         return False
@@ -333,22 +367,36 @@ class _Session:
         self.budget.gradients += 1
         return g
 
+    def projected_inf_norm(self, g: dict[str, float]) -> float:
+        """Infinity norm of the projected gradient: a component is zero
+        when its weight sits on a projection bound and -g points outward."""
+        norm = 0.0
+        for r in self.trainable:
+            lo, hi = _projection_interval(r)
+            v = g[r.id]
+            if not ((r.weight == lo and v > 0.0) or (r.weight == hi and v < 0.0)):
+                norm = max(norm, abs(v))
+        return norm
+
     def line_search(
-        self, f_base: float, g: dict[str, float], g_sq: float
+        self, f_base: float, g: dict[str, float], step: float
     ) -> tuple[bool, float, int, float, float, float]:
-        """Backtracking Armijo search along -g from the current weights.
-        Candidates are projected before evaluation.  On failure the
-        original weights and states are restored."""
+        """Backtracking Armijo search along the projection arc
+        P(w - step g) from the current weights, starting at ``step``.  On
+        failure the original weights and states are restored."""
         cfg = self.cfg
         w0 = {r.id: r.weight for r in self.trainable}
-        step = cfg.step_init
         backtracks = 0
         while True:
+            decrease = 0.0  # g . (w - P(w - step g)), >= 0 from a feasible w
             for r in self.trainable:
                 r.weight = _project(r, w0[r.id] - step * g[r.id])
+                decrease += g[r.id] * (w0[r.id] - r.weight)
             self.budget.line_search_evals += len(self.train.objects)
             f_cand, m_cand, p_cand = self.score(self.train)
-            if f_cand <= f_base - cfg.armijo_c * step * g_sq:
+            # max(): a declared weight outside its hard bound may project
+            # against -g, and the search must still not accept an increase
+            if f_cand <= f_base - cfg.armijo_c * max(decrease, 0.0):
                 return True, step, backtracks, f_cand, m_cand, p_cand
             backtracks += 1
             if backtracks > cfg.max_backtracks:
@@ -423,17 +471,21 @@ def train(
     records: list[IterationRecord] = []
     status = "max_iters"
     stall = 0
+    last = None  # (weights, gradient) where the last accepted step began
     for it in range(1, cfg.max_iters + 1):
         g = sess.gradient(f_cur)
-        g_inf = max(abs(v) for v in g.values())
+        g_inf = sess.projected_inf_norm(g)
         if g_inf <= cfg.tol_grad:
             status = "converged_gradient"
             break
-        g_sq = sum(v * v for v in g.values())
-        ok, step, backtracks, f_new, m_new, p_new = sess.line_search(f_cur, g, g_sq)
+        w = [r.weight for r in sess.trainable]
+        gv = [g[r.id] for r in sess.trainable]
+        step = cfg.step_init if last is None else _bb_step(w, gv, *last, cfg.step_init)
+        ok, step, backtracks, f_new, m_new, p_new = sess.line_search(f_cur, g, step)
         if not ok:
             status = "line_search_failed"
             break
+        last = (w, gv)
         rel = (f_cur - f_new) / max(1.0, abs(f_cur))
         f_cur, m_cur, p_cur = f_new, m_new, p_new
         records.append(
@@ -514,12 +566,11 @@ def train_multi(
 
 
 def audit_budget(trace: TrainingTrace) -> str:
-    """Check the exact probe-count identity for naive forward-difference
-    runs: probe_evals == gradients x objects x trainable_rules.  Returns
-    "pass", "fail", or "skipped" (incremental or central runs, where the
-    identity is not the defined cost model)."""
-    cfg = trace.config
-    if cfg.get("use_tms", True) or cfg.get("fd_scheme", "forward") != "forward":
+    """Check the exact probe-count identity for forward-difference runs,
+    incremental or naive: probe_evals == gradients x objects x
+    trainable_rules.  Returns "pass", "fail", or "skipped" (central runs,
+    where a probe at a weight bound falls back to one side)."""
+    if trace.config.get("fd_scheme", "forward") != "forward":
         return "skipped"
     b = trace.budget
     expected = b.gradients * b.objects * b.trainable_rules

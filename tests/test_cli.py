@@ -71,8 +71,7 @@ class TestTrain:
             "--data", str(gen_dir / "train.jsonl"),
             "--out", str(out), "--seed", "42", "--max-iters", "25",
         )
-        # 3 signals a line-search stop at a constraint boundary; outputs are
-        # written either way
+        # 3 would signal a failed line search; outputs are written either way
         assert rc in (0, 3)
         trace = read_json(out / "trace.json")
         report = read_json(out / "report.json")
@@ -139,16 +138,59 @@ class TestTrain:
             assert {k: final[k] for k in ("objective", "metric", "penalty")} == {
                 k: whole[k] for k in ("objective", "metric", "penalty")}
 
-    def test_report_final_block_without_accepted_iterations(self, gen_dir, tmp_path):
-        # training stops at a point where every weight is pinned to a bound
-        # by its gradient; training that result again accepts no iteration
-        args = ("--data", str(gen_dir / "train.jsonl"), "--seed", "42", "--max-iters", "25")
-        assert run("train", "--rules", str(gen_dir / "rules.json"), "--out", str(tmp_path / "a"), *args) == 3
+    def test_report_final_block_without_accepted_iterations(self, tmp_path):
+        # every weight of this problem ends on a bound with its gradient
+        # pointing outward, so training that result again is stationary at
+        # the first gradient and accepts no iteration
+        gen = tmp_path / "gen"
+        assert run("gen", "--features", "6", "--classes", "3", "--objects", "40",
+                   "--seed", "3", "--out", str(gen)) == 0
+        args = ("--data", str(gen / "train.jsonl"), "--seed", "3")
+        assert run("train", "--rules", str(gen / "rules.json"), "--out", str(tmp_path / "a"), *args) == 0
         again = tmp_path / "b"
-        assert run("train", "--rules", str(tmp_path / "a" / "trained.json"), "--out", str(again), *args) == 3
+        assert run("train", "--rules", str(tmp_path / "a" / "trained.json"), "--out", str(again), *args) == 0
         report = read_json(again / "report.json")
+        assert report["status"] == "converged_gradient"
         assert report["iterations"] == 0
         assert report["final"] == report["initial"]
+
+    def test_readme_walkthrough_converges(self, gen_dir, tmp_path):
+        out = tmp_path / "run"
+        rc = run("train", "--rules", str(gen_dir / "rules.json"),
+                 "--data", str(gen_dir / "train.jsonl"), "--out", str(out), "--seed", "42")
+        assert rc == 0
+        report = read_json(out / "report.json")
+        assert report["status"].startswith("converged_")
+        assert report["final"]["objective"] <= 42.4779
+
+    def test_search_without_descent_exits_3(self, tmp_path, capsys):
+        # r2 fires only while r1 makes m positive, so at w1 = 0 the objective
+        # is flat for w1 < 0 and rises for w1 > 0: the forward difference
+        # reads a slope, yet no step along -g decreases the objective
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({
+            "propositions": [
+                {"id": "f", "kind": "input"},
+                {"id": "m", "kind": "derived"},
+                {"id": "c", "kind": "derived", "output_class": True},
+                {"id": "d", "kind": "derived", "output_class": True},
+            ],
+            "rules": [
+                {"id": "r1", "if": "f", "then": "m", "weight": 0.0},
+                {"id": "r2", "if": "m", "then": "c", "weight": 1.0},
+            ],
+        }))
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"id": "o", "facts": {"f": 1.0}, "label": "d"}\n')
+        out = tmp_path / "run"
+        rc = run("train", "--rules", str(rules), "--data", str(data), "--out", str(out))
+        assert rc == 3
+        assert "Traceback" not in capsys.readouterr().err
+        report = read_json(out / "report.json")
+        assert report["status"] == "line_search_failed"
+        assert report["iterations"] == 0
+        assert report["final"] == report["initial"]
+        assert read_json(out / "trace.json")["final_weights"] == {"r1": 0.0, "r2": 1.0}
 
     def test_missing_rules_file_exits_2(self, tmp_path, capsys):
         rc = run("train", "--rules", str(tmp_path / "nope.json"),
@@ -221,11 +263,16 @@ class TestBenchAndAudit:
         assert run("audit", "--trace", str(out / "trace.json")) == 1
 
     def test_audit_skipped_for_tms(self, gen_dir, tmp_path):
+        # the default incremental forward run is audited too
         out = tmp_path / "tms"
         run("train", "--rules", str(gen_dir / "rules.json"),
             "--data", str(gen_dir / "train.jsonl"),
             "--out", str(out), "--seed", "3", "--max-iters", "2")
-        assert run("audit", "--trace", str(out / "trace.json")) == 0
+        assert run("audit", "--trace", str(out / "trace.json"),
+                   "--out", str(out / "audit.json")) == 0
+        audit = read_json(out / "audit.json")
+        assert audit["status"] == "pass"
+        assert audit["probe_evals"] == audit["expected"]
 
 
 def nested_not_rulebase(depth):

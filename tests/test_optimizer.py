@@ -1,5 +1,6 @@
 """Trainer: gradients, line search, constraints, accounting, multi-start."""
 
+import json
 import random
 
 import pytest
@@ -29,8 +30,9 @@ from cf_forge import (
     train,
     train_multi,
 )
+from cf_forge.metric import MetricValue
 from cf_forge.model import DERIVED, INPUT
-from cf_forge.optimizer import _split_dataset
+from cf_forge.optimizer import BB_STEP_MAX, BB_STEP_MIN, _bb_step, _split_dataset
 
 
 DELETE = object()  # marks a trace field to remove rather than replace
@@ -323,21 +325,126 @@ class TestTrain:
         assert trace.status == "converged_gradient"
         assert trace.iterations == []
 
-    def test_boundary_optimum_ends_in_line_search_failure(self):
-        # unconstrained pull toward w = 1 hits the definitional bound; once
-        # there no projected step can decrease the objective
+    def test_boundary_optimum_converges_on_gradient(self):
+        # unconstrained pull toward w = 1 hits the definitional bound; there
+        # -g points outward, so the projected gradient is zero
         rb, data = one_rule_problem(weight=0.0, fact=1.0)
         trained, trace = train(rb, data, OptimizerConfig(seed=0, max_iters=200))
-        assert trace.status == "line_search_failed"
+        assert trace.status == "converged_gradient"
         assert trained.rules[0].weight == 1.0
         assert trace.boundary_stall is True
+        assert trace.budget.gradients == len(trace.iterations) + 1
         assert_monotone(trace)
+
+    def test_kink_without_descent_ends_in_line_search_failure(self):
+        # |cf_c| has its minimum at w = 0, where the forward difference
+        # reads +1; every step along -g raises the metric, so the search
+        # exhausts its backtracks and restores the starting weight
+        def abs_metric(evaluations, labels, classes):
+            return MetricValue(sum(abs(ev.prop_cf["c"]) for ev in evaluations))
+
+        rb, data = one_rule_problem(weight=0.0, fact=1.0)
+        cfg = OptimizerConfig(seed=0)
+        trained, trace = train(rb, data, cfg, abs_metric)
+        assert trace.status == "line_search_failed"
+        assert trace.iterations == []
+        assert trained.rules[0].weight == 0.0
+        # every candidate, then the restoring pass
+        assert trace.budget.line_search_evals == (cfg.max_backtracks + 2) * len(data)
+
+    def test_second_step_is_the_two_point_step(self):
+        rb, _, data, _ = generate(SynthSpec(features=5, classes=2, objects=10,
+                                            noise=0.2, seed=7))
+        cfg = OptimizerConfig(seed=7, max_iters=2, step_init=0.01)
+        _, trace = train(rb, data, cfg)
+        # the trajectory is deterministic: a one-iteration run ends at w1
+        rb1, _ = train(rb, data, OptimizerConfig(seed=7, max_iters=1, step_init=0.01))
+        g0, g1 = gradient(rb, data, cfg), gradient(rb1, data, cfg)
+        ids = [r.id for r in rb.rules]
+        step = _bb_step([rb1.rule(i).weight for i in ids], [g1[i] for i in ids],
+                        [rb.rule(i).weight for i in ids], [g0[i] for i in ids], 0.01)
+        for _ in range(trace.iterations[1].backtracks):
+            step *= cfg.shrink
+        assert trace.iterations[0].step == 0.01
+        assert trace.iterations[1].step == step != 0.01
+
+    def test_bb_step(self):
+        assert _bb_step([1.0, 2.0], [3.0, 1.0], [0.0, 0.0], [1.0, 0.0], 0.5) == 5.0 / 4.0
+        # s.y <= 0: no curvature information, fall back to step_init
+        assert _bb_step([1.0], [-1.0], [0.0], [0.0], 0.5) == 0.5
+        assert _bb_step([0.0], [1.0], [0.0], [0.0], 0.5) == 0.5
+        assert _bb_step([1.0], [1e-9], [0.0], [0.0], 0.5) == BB_STEP_MAX
+        assert _bb_step([1e-9], [1.0], [0.0], [0.0], 0.5) == BB_STEP_MIN
 
     def test_interior_optimum_converges(self):
         rb, data = one_rule_problem(weight=0.0, fact=1.0,
                                     bounds=(0.0, 0.5), bound_kind="soft")
         _, trace = train(rb, data, OptimizerConfig(seed=0, max_iters=200))
         assert trace.status in ("converged_objective", "converged_gradient")
+
+
+def projected_norm(rb, g):
+    """Projected-gradient infinity norm, restated: a component at a
+    projection bound whose -g points outward counts as zero."""
+    norm = 0.0
+    for r in rb.rules:
+        if r.id not in g:
+            continue
+        lo, hi = r.bounds if r.bound_kind == "hard" else (-1.0, 1.0)
+        if (r.weight == lo and g[r.id] > 0.0) or (r.weight == hi and g[r.id] < 0.0):
+            continue
+        norm = max(norm, abs(g[r.id]))
+    return norm
+
+
+@st.composite
+def bounded_problems(draw):
+    """A small seeded generate() problem whose rules get random hard bounds
+    (some degenerate) and a feasible starting weight, some on a bound."""
+    seed = draw(st.integers(0, 10_000))
+    classes = draw(st.integers(2, 3))
+    spec = SynthSpec(features=draw(st.integers(classes, 4)), classes=classes,
+                     objects=draw(st.integers(3, 10)), noise=0.2, seed=seed)
+    rb, _, data, _ = generate(spec)
+    rng = random.Random(seed)
+    for r in rb.rules:
+        if rng.random() < 0.6:
+            lo, hi = sorted(rng.choice([rng.uniform(-1.0, 1.0), -1.0, 0.0, 1.0]) for _ in range(2))
+            r.bounds = (lo, hi)
+        lo, hi = r.bounds
+        r.weight = rng.choice([lo, hi, rng.uniform(lo, hi)])
+    cfg = OptimizerConfig(
+        seed=seed,
+        max_iters=draw(st.integers(1, 20)),
+        step_init=draw(st.sampled_from([0.01, 0.1, 0.5, 2.0])),
+        tol_grad=draw(st.sampled_from([1e-6, 1e-2, 0.5])),
+        use_tms=draw(st.booleans()),
+        fd_scheme=draw(st.sampled_from(["forward", "central"])),
+    )
+    return rb, data, cfg
+
+
+class TestProjectedSearch:
+    @settings(max_examples=80, deadline=None)
+    @given(bounded_problems())
+    def test_search_properties(self, problem):
+        rb, data, cfg = problem
+        trained, trace = train(rb, data, cfg)
+        assert_monotone(trace)
+        for r in trained.rules:
+            lo, hi = r.bounds
+            assert -1.0 <= r.weight <= 1.0
+            assert r.bound_kind != "hard" or lo <= r.weight <= hi
+        if trace.status == "converged_gradient":
+            assert projected_norm(trained, gradient(trained, data, cfg)) <= cfg.tol_grad
+        if trace.iterations:
+            first = trace.iterations[0]
+            step = cfg.step_init
+            for _ in range(first.backtracks):
+                step *= cfg.shrink
+            assert first.iteration == 1 and first.step == step
+        _, again = train(rb, data, cfg)
+        assert json.dumps(again.to_dict()) == json.dumps(trace.to_dict())
 
 
 class TestAudit:
@@ -355,9 +462,13 @@ class TestAudit:
         assert b.probe_evals == b.gradients * b.objects * b.trainable_rules
 
     def test_tms_run_skipped(self):
+        # incremental forward runs count one probe per (rule, object) too,
+        # so the identity is checked, not skipped
         rb, _, data, _ = generate(SynthSpec(features=5, classes=2, objects=8, seed=0))
         _, trace = train(rb, data, OptimizerConfig(max_iters=3, use_tms=True))
-        assert audit_budget(trace) == "skipped"
+        assert audit_budget(trace) == "pass"
+        trace.budget.probe_evals -= 1
+        assert audit_budget(trace) == "fail"
 
     def test_central_run_skipped(self):
         rb, _, data, _ = generate(SynthSpec(features=5, classes=2, objects=8, seed=0))
@@ -464,8 +575,8 @@ class TestFiringsTally:
         return rb, objects, pairs
 
     # step 0.01 accepts all six iterations; step 0.5 pins every weight to a
-    # bound in one step, so the second line search fails and restores
-    @pytest.mark.parametrize("step_init, expected", [(0.01, 5589), (0.5, 13704)])
+    # bound in one step, so the second gradient is projected-stationary
+    @pytest.mark.parametrize("step_init, expected", [(0.01, 5589), (0.5, 1704)])
     def test_tms_forward_with_holdout(self, step_init, expected):
         rb, objects, pairs = self.problem()
         cfg = OptimizerConfig(seed=3, max_iters=6, holdout_fraction=0.2, step_init=step_init)
@@ -480,7 +591,7 @@ class TestFiringsTally:
             + pairs(holdout_objs) * (1 + len(trace.iterations))
         ) == expected
 
-    @pytest.mark.parametrize("step_init, expected", [(0.01, 54855), (0.5, 33390)])
+    @pytest.mark.parametrize("step_init, expected", [(0.01, 54855), (0.5, 18126)])
     def test_naive_forward(self, step_init, expected):
         rb, objects, pairs = self.problem()
         cfg = OptimizerConfig(seed=3, max_iters=6, use_tms=False, step_init=step_init)
