@@ -1,22 +1,25 @@
 """Forward-chaining evaluation of one object, full-pass and incremental.
 
 Both paths walk the rule base's compiled firing plan (``RuleBase.
-firing_plan``).  ``evaluate_full`` takes each produced proposition in plan
-order and fires its incoming rules once, in incoming order.  A rule fires
-when its antecedent CF exceeds the firing threshold; its contribution,
-weight x antecedent CF, is pooled into the consequent's CF.  An antecedent
-that is a bare reference is read straight from the CF map; any other goes
-through ``eval_expr``.
+firing_plan``).  Every rule has a slot, its position in the plan, and each
+produced proposition owns the contiguous slot range of its incoming rules.
+``evaluate_full`` takes each produced proposition in plan order and fires
+its incoming rules once, in slot order.  A rule fires when its antecedent
+CF exceeds the firing threshold; its contribution, weight x antecedent CF,
+is pooled into the consequent's CF, folded from 0.0.  An antecedent that is
+a bare reference is read straight from the CF map; any other goes through
+``eval_expr``.  The state keeps each rule's antecedent CF and contribution
+in two flat lists indexed by slot.
 
 ``perturb_weight`` is the incremental path: changing a single rule's weight
 re-fires only that rule and the rules downstream of its consequent, walking
 the rule's cached closure plan.  Each affected proposition is refolded from
-its stored contribution list in the static topological order of its
-incoming rules, which replays exactly the fold sequence a full pass would
-execute.  Propagation stops only where a proposition's CF is bitwise
-unchanged, so incremental results are bit-identical to a fresh full pass.
+0.0 over its slot range, which replays exactly the fold sequence a full
+pass would execute.  Propagation stops only where a proposition's CF is
+bitwise unchanged, so incremental results are bit-identical to a fresh full
+pass.
 
-Every perturb records the ``prop_cf``, ``rule_ante`` and contribution
+Every perturb records the ``prop_cf``, ``rule_ante`` and ``contributions``
 entries it overwrites in an undo log on the state; each perturb starts a
 fresh log, and ``evaluate_full`` clears it.  ``restore_weight`` writes a
 matching log back in reverse, with no combine arithmetic and no firing, so
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import copysign
-from typing import Mapping
 
 from .algebra import combine_parallel, eval_expr
 from .errors import InconsistentState, NoOutputClasses
@@ -62,32 +64,28 @@ class FiringPolicy:
 
 DEFAULT_POLICY = FiringPolicy()
 
-_ABSENT = object()  # undo-log value of an entry that did not exist
-
 
 @dataclass
 class EvalCounters:
-    """Monotone work counters: rules_fired accumulates every rule firing
-    (full passes and incremental re-fires); full_passes counts only
-    evaluate_full calls."""
+    """Monotone work counters: rules_fired accumulates every rule firing,
+    in full passes and incremental re-fires alike."""
 
     rules_fired: int = 0
-    full_passes: int = 0
 
 
 class ObjectEvaluation:
     """Cached inference state for one object.
 
-    prop_cf holds every proposition's combined CF; rule_ante every rule's
-    antecedent CF; contributions maps each produced proposition to the
-    contributions of its currently-firing rules, keyed by rule id.  The
-    refold invariant: each produced proposition's CF equals the fold of its
-    stored contributions in the rule base's incoming order.
+    prop_cf holds every proposition's combined CF, by id.  rule_ante and
+    contributions are lists indexed by rule slot (see FiringPlan): each
+    rule's antecedent CF, and its contribution, or None while the rule does
+    not fire.  The fold invariant: each produced proposition's CF equals
+    the fold, from 0.0, of the contributions in its slot range [lo, hi).
 
-    undo is the last perturb's undo log, or None: the perturbed rule's id,
-    the contribution it overwrote (None when the rule does not fire), and
-    the (mapping, key, old value) of every entry the perturb wrote, in
-    write order.
+    undo is the last perturb's undo log, or None: the perturbed rule's id
+    and slot, the contribution it overwrote (None when the rule does not
+    fire), and the (container, key, old value) of every entry the perturb
+    wrote, in write order.
     """
 
     __slots__ = ("object_id", "prop_cf", "rule_ante", "contributions", "counters", "undo")
@@ -95,20 +93,10 @@ class ObjectEvaluation:
     def __init__(self, object_id: str):
         self.object_id = object_id
         self.prop_cf: dict[str, float] = {}
-        self.rule_ante: dict[str, float] = {}
-        self.contributions: dict[str, dict[str, float]] = {}
+        self.rule_ante: list[float] = []
+        self.contributions: list[float | None] = []
         self.counters = EvalCounters()
-        self.undo: tuple[str, float | None, list] | None = None
-
-    def check_consistent(self, rb: RuleBase) -> None:
-        """Verify the refold invariant; raises InconsistentState."""
-        for prop_id, bucket in self.contributions.items():
-            acc = _refold(rb.incoming_rules(prop_id), bucket)
-            if acc != self.prop_cf[prop_id]:
-                raise InconsistentState(
-                    f"object {self.object_id!r}: proposition {prop_id!r} CF "
-                    f"{self.prop_cf[prop_id]!r} != refold {acc!r}"
-                )
+        self.undo: tuple[str, int, float | None, list] | None = None
 
 
 def evaluate_full(
@@ -120,9 +108,12 @@ def evaluate_full(
     """Evaluate every rule once, walking the rule base's firing plan.
 
     Inputs missing from the object's facts default to CF 0; derived
-    propositions no rule fires into stay at CF 0.  Pass ``into`` to reuse a
-    state object: its CF maps are rebuilt from scratch and its counters
-    keep accumulating.
+    propositions no rule fires into stay at CF 0.  Every produced
+    proposition folds from 0.0 and is bound, so on an unchecked base a rule
+    concluding an input overrides its fact, and an undeclared consequent
+    reads as 0 while no rule fires into it.  Pass ``into`` to reuse a state
+    object: its CF maps are rebuilt from scratch and its counters keep
+    accumulating.
     """
     if into is None:
         state = ObjectEvaluation(obj.id)
@@ -137,41 +128,35 @@ def evaluate_full(
     facts = obj.facts
     for p in plan.inputs:
         env[p] = facts.get(p, 0.0)
-    contribs: dict[str, dict[str, float]] = {}
-    ante: dict[str, float] = {}
+    ante: list[float] = []
+    contribs: list[float | None] = []
     threshold = policy.threshold
     fired = 0
     for prop_id, entries in plan.steps:
-        bucket: dict[str, float] = {}
-        # the fold starts from the proposition's CF: 0.0 when it is derived,
-        # the fact when an unchecked base concludes an input; a consequent
-        # that is not declared stays unbound unless a rule fires into it
-        acc = env.get(prop_id, 0.0)
-        for rule, rule_id, leaf in entries:
+        acc = 0.0
+        for rule, leaf in entries:
             a = env[leaf] if type(leaf) is str else eval_expr(leaf, env)
-            ante[rule_id] = a
+            ante.append(a)
             if a > threshold:
                 c = rule.weight * a
-                bucket[rule_id] = c
+                contribs.append(c)
                 acc = combine_parallel(acc, c)
-        contribs[prop_id] = bucket
-        if bucket:
-            env[prop_id] = acc
-            fired += len(bucket)
+                fired += 1
+            else:
+                contribs.append(None)
+        env[prop_id] = acc
     state.prop_cf = env
     state.rule_ante = ante
     state.contributions = contribs
     state.undo = None
     state.counters.rules_fired += fired
-    state.counters.full_passes += 1
     return state
 
 
-def _refold(incoming: tuple[str, ...], bucket: Mapping[str, float]) -> float:
-    """Fold a bucket's contributions in the consequent's incoming order."""
+def _fold(contrib: list[float | None], lo: int, hi: int) -> float:
+    """Fold the contributions in slots [lo, hi), from 0.0, in slot order."""
     acc = 0.0
-    for rid in incoming:
-        c = bucket.get(rid)
+    for c in contrib[lo:hi]:
         if c is not None:
             acc = combine_parallel(acc, c)
     return acc
@@ -194,53 +179,49 @@ def perturb_weight(
     probing never requires mutating the base.
     """
     plan = rb.closure_plan(rule_id)
-    _, _, cons, _, incoming = plan[0]
-    a = state.rule_ante.get(rule_id)
-    if a is None:
-        raise InconsistentState(f"no antecedent recorded for rule {rule_id!r}")
+    _, _, cons, _, slot, lo, hi = plan[0]
+    ante = state.rule_ante
+    contrib = state.contributions
+    if len(ante) != len(rb.rules) or len(contrib) != len(rb.rules):
+        raise InconsistentState(
+            f"state of object {state.object_id!r} holds {len(ante)} rule slots, "
+            f"the base has {len(rb.rules)} rules"
+        )
+    a = ante[slot]
+    saved = contrib[slot]
     threshold = policy.threshold
-    contributions = state.contributions
-    bucket = contributions.get(cons)
-    if bucket is None:
-        raise InconsistentState(f"no contribution bucket for proposition {cons!r}")
     firing = a > threshold
-    if firing != (rule_id in bucket):
+    if firing != (saved is not None):
         raise InconsistentState(
             f"rule {rule_id!r} firing status disagrees with stored contributions"
         )
     if not firing:
-        state.undo = (rule_id, None, [])
+        state.undo = (rule_id, slot, None, [])
         return 0  # weight is irrelevant while the rule does not fire
     fired = 1
     prop_cf = state.prop_cf
-    rule_ante = state.rule_ante
     old_cf = prop_cf[cons]
-    log = [(bucket, rule_id, bucket[rule_id]), (prop_cf, cons, old_cf)]
-    state.undo = (rule_id, bucket[rule_id], log)
-    bucket[rule_id] = new_weight * a
-    new_cf = _refold(incoming, bucket)
+    log = [(contrib, slot, saved), (prop_cf, cons, old_cf)]
+    state.undo = (rule_id, slot, saved, log)
+    contrib[slot] = new_weight * a
+    new_cf = _fold(contrib, lo, hi)
     prop_cf[cons] = new_cf
     if new_cf == old_cf:
         state.counters.rules_fired += fired
         return fired
     changed = {cons}
-    for r, leaf, cons2, refs, incoming2 in plan[1:]:
+    for r, leaf, cons2, refs, s2, lo2, hi2 in plan[1:]:
         if changed.isdisjoint(refs):
             continue
-        rid = r.id
         a2 = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
-        log.append((rule_ante, rid, rule_ante[rid]))
-        rule_ante[rid] = a2
+        log.append((ante, s2, ante[s2]))
+        ante[s2] = a2
         fired += 1
-        b2 = contributions[cons2]
-        log.append((b2, rid, b2.get(rid, _ABSENT)))
-        if a2 > threshold:
-            b2[rid] = r.weight * a2
-        else:
-            b2.pop(rid, None)
+        log.append((contrib, s2, contrib[s2]))
+        contrib[s2] = r.weight * a2 if a2 > threshold else None
         old2 = prop_cf[cons2]
         log.append((prop_cf, cons2, old2))
-        new2 = _refold(incoming2, b2)
+        new2 = _fold(contrib, lo2, hi2)
         prop_cf[cons2] = new2
         if new2 != old2:
             changed.add(cons2)
@@ -268,14 +249,11 @@ def restore_weight(
     bit-identical to a fresh full pass at ``old_weight``.
     """
     if state.undo is not None and state.undo[0] == rule_id:
-        _, saved, log = state.undo
-        if saved is None or _same_bits(old_weight * state.rule_ante[rule_id], saved):
+        _, slot, saved, log = state.undo
+        if saved is None or _same_bits(old_weight * state.rule_ante[slot], saved):
             state.undo = None
-            for mapping, key, old in reversed(log):
-                if old is _ABSENT:
-                    mapping.pop(key, None)
-                else:
-                    mapping[key] = old
+            for container, key, old in reversed(log):
+                container[key] = old
             return 0
     return perturb_weight(state, rb, rule_id, old_weight, policy)
 

@@ -90,20 +90,23 @@ class FiringPlan:
 
     initial maps every proposition to CF 0, in declaration order; a pass
     copies it and sets ``inputs`` from the object's facts.  ``steps`` lists
-    each produced proposition with the entries of its incoming rules, in
-    incoming order: (rule, rule id, leaf).  Propositions are ordered by the
-    topological position of their last producer, so every proposition is
-    final before any rule reads it.  ``refires`` maps each rule id to the
-    entry a probe re-fires it from: (rule, leaf, consequent, antecedent
-    refs, the consequent's incoming rule ids).  A leaf is the proposition id
-    when the antecedent is a bare Ref to a declared proposition, else the
-    antecedent Expr.  Rules are held by reference, so weights stay live.
+    each produced proposition with the (rule, leaf) entries of its incoming
+    rules, in incoming order.  Propositions are ordered by the topological
+    position of their last producer, so every proposition is final before
+    any rule reads it.  A rule's slot is its position when the steps'
+    entries are laid end to end, so each produced proposition owns the
+    contiguous slot range [lo, hi) of its incoming rules.  ``refires`` maps
+    each rule id to the entry a probe re-fires it from: (rule, leaf,
+    consequent, antecedent refs, slot, lo, hi), with lo and hi the
+    consequent's range.  A leaf is the proposition id when the antecedent
+    is a bare Ref to a declared proposition, else the antecedent Expr.
+    Rules are held by reference, so weights stay live.
     """
 
     initial: dict[str, float]
     inputs: tuple[str, ...]
-    steps: tuple[tuple[str, tuple[tuple[Rule, str, str | Expr], ...]], ...]
-    refires: dict[str, tuple[Rule, str | Expr, str, frozenset[str], tuple[str, ...]]]
+    steps: tuple[tuple[str, tuple[tuple[Rule, str | Expr], ...]], ...]
+    refires: dict[str, tuple[Rule, str | Expr, str, frozenset[str], int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -179,10 +182,6 @@ class RuleBase:
         except KeyError:
             raise UnknownRule(rule_id) from None
 
-    def antecedent_refs(self, rule_id: str) -> frozenset[str]:
-        self._ensure_graph()
-        return self._refs[rule_id]
-
     def incoming_rules(self, prop_id: str) -> tuple[str, ...]:
         """Rules with this consequent, in topological firing order."""
         self._ensure_graph()
@@ -229,16 +228,22 @@ class RuleBase:
             leaves[r.id] = e.prop if type(e) is Ref and e.prop in props else e
         incoming = self._incoming
         last = {p: self._pos[ids[-1]] for p, ids in incoming.items()}
+        order = sorted(incoming, key=last.__getitem__)
+        slot: dict[str, int] = {}
+        span: dict[str, tuple[int, int]] = {}
+        for p in order:
+            lo = len(slot)
+            slot.update((rid, i) for i, rid in enumerate(incoming[p], lo))
+            span[p] = (lo, len(slot))
         by_id = self.rules_by_id
         self._plan = FiringPlan(
             initial=dict.fromkeys(props, 0.0),
             inputs=tuple(p.id for p in props.values() if p.kind == INPUT),
             steps=tuple(
-                (p, tuple((by_id[rid], rid, leaves[rid]) for rid in incoming[p]))
-                for p in sorted(incoming, key=last.__getitem__)
+                (p, tuple((by_id[rid], leaves[rid]) for rid in incoming[p])) for p in order
             ),
             refires={
-                r.id: (r, leaves[r.id], r.consequent, self._refs[r.id], incoming[r.consequent])
+                r.id: (r, leaves[r.id], r.consequent, self._refs[r.id], slot[r.id], *span[r.consequent])
                 for r in self.rules
             },
         )

@@ -40,9 +40,10 @@ separately.
 
 Every full pass goes through one scoring routine, ``_Session.score``, which
 re-evaluates one part's reusable states and returns (objective, metric,
-penalty): the initial score, each line-search candidate, the restore after
-a failed search, each holdout evaluation and, in naive mode (``use_tms``
-off), each probe, which re-scores a scratch copy of the training part.
+penalty): the initial score, each line-search candidate, each holdout
+evaluation and, in naive mode (``use_tms`` off), each probe, which
+re-scores a scratch copy of the training part.  A failed search restores
+only the weights: training stops there and never reads the states again.
 
 Accounting: ``probe_evals`` counts one per (rule, object) probe (two per
 pair for non-degenerate central differences), in both modes, so a
@@ -383,7 +384,7 @@ class _Session:
     ) -> tuple[bool, float, int, float, float, float]:
         """Backtracking Armijo search along the projection arc
         P(w - step g) from the current weights, starting at ``step``.  On
-        failure the original weights and states are restored."""
+        failure the original weights are restored."""
         cfg = self.cfg
         w0 = {r.id: r.weight for r in self.trainable}
         backtracks = 0
@@ -402,8 +403,6 @@ class _Session:
             if backtracks > cfg.max_backtracks:
                 for r in self.trainable:
                     r.weight = w0[r.id]
-                self.budget.line_search_evals += len(self.train.objects)
-                self.score(self.train)
                 return False, 0.0, backtracks, f_base, 0.0, 0.0
             step *= cfg.shrink
 

@@ -262,7 +262,7 @@ class TestBenchAndAudit:
         (out / "trace.json").write_text(json.dumps(doc))
         assert run("audit", "--trace", str(out / "trace.json")) == 1
 
-    def test_audit_skipped_for_tms(self, gen_dir, tmp_path):
+    def test_audit_checks_the_tms_run(self, gen_dir, tmp_path):
         # the default incremental forward run is audited too
         out = tmp_path / "tms"
         run("train", "--rules", str(gen_dir / "rules.json"),

@@ -28,6 +28,7 @@ from cf_forge import (
     perturb_weight,
     restore_weight,
 )
+from cf_forge.algebra import referenced_props
 from cf_forge.model import DERIVED, INPUT
 from helpers import random_object, random_rulebase
 
@@ -74,7 +75,6 @@ class TestEvaluateFull:
         assert st.prop_cf["c"] == 0.8 * 0.5
         assert st.prop_cf["d"] == 0.0
         assert st.counters.rules_fired == 1
-        assert st.counters.full_passes == 1
 
     def test_two_contributions_pool(self):
         props = [
@@ -141,7 +141,6 @@ class TestEvaluateFull:
         obj = TrainingObject(id="o", facts={"f": 0.5}, label="c")
         st = evaluate_full(rb, obj)
         evaluate_full(rb, obj, into=st)
-        assert st.counters.full_passes == 2
         assert st.counters.rules_fired == 2
 
     def test_into_rejects_wrong_object(self):
@@ -282,29 +281,39 @@ class TestPerturb:
         assert st.prop_cf == oracle_back.prop_cf
 
     def test_tampered_state_raises(self):
-        rb = single_rule_base()
-        obj = TrainingObject(id="o", facts={"f": 0.5}, label="c")
+        rb = chain3_base()
+        obj = TrainingObject(id="o", facts={"f": 0.6}, label="c")
+        with pytest.raises(InconsistentState):  # never evaluated
+            perturb_weight(engine.ObjectEvaluation("o"), rb, "r1", 0.2)
+        other = evaluate_full(single_rule_base(), obj)  # one rule, not three
+        with pytest.raises(InconsistentState):
+            perturb_weight(other, rb, "r1", 0.2)
         st = evaluate_full(rb, obj)
-        del st.rule_ante["r1"]
+        st.contributions[0] = None  # r1 fires, but its contribution is gone
         with pytest.raises(InconsistentState):
             perturb_weight(st, rb, "r1", 0.2)
 
     def test_refold_check(self):
-        rb = single_rule_base()
-        obj = TrainingObject(id="o", facts={"f": 0.5}, label="c")
+        rb = chain3_base()
+        obj = TrainingObject(id="o", facts={"f": 0.6}, label="c")
         st = evaluate_full(rb, obj)
-        st.check_consistent(rb)
-        st.prop_cf["c"] = 0.123
-        with pytest.raises(InconsistentState):
-            st.check_consistent(rb)
+        perturb_weight(st, rb, "r2", 0.3)
+        rb.rule("r2").weight = 0.3
+        assert bit_snapshot(st, rb) == bit_snapshot(evaluate_full(rb, obj), rb)
 
 
-def snapshot(state):
-    return (
-        dict(state.prop_cf),
-        dict(state.rule_ante),
-        {p: dict(bucket) for p, bucket in state.contributions.items()},
-    )
+def snapshot(state, rb):
+    """The state's CFs, its antecedent CFs by rule id, and its firing
+    rules' contributions by consequent and rule id, read through the
+    firing plan's slots."""
+    assert len(state.rule_ante) == len(state.contributions) == len(rb.rules)
+    ante, buckets = {}, {}
+    for rid, (_, _, cons, _, slot, _, _) in rb.firing_plan().refires.items():
+        ante[rid] = state.rule_ante[slot]
+        bucket = buckets.setdefault(cons, {})
+        if state.contributions[slot] is not None:
+            bucket[rid] = state.contributions[slot]
+    return dict(state.prop_cf), ante, buckets
 
 
 class TestExactness:
@@ -334,15 +343,15 @@ class TestExactness:
             # nudges move propositions by less than 1e-15, where an
             # inexact propagation stop would leave stale CFs downstream
             w_new = min(max(rule.weight + w * 1e-14, -1.0), 1.0) if nudge else w
-            before = snapshot(state)
+            before = snapshot(state, rb)
             perturb_weight(state, rb, rule.id, w_new)
-            assert snapshot(state) == snapshot(full_oracle(rb, obj, rule.id, w_new))
+            assert snapshot(state, rb) == snapshot(full_oracle(rb, obj, rule.id, w_new), rb)
             if keep:
                 rule.weight = w_new
             else:
                 restore_weight(state, rb, rule.id, rule.weight)
-                assert snapshot(state) == before
-        assert snapshot(state) == snapshot(evaluate_full(rb, obj))
+                assert snapshot(state, rb) == before
+        assert snapshot(state, rb) == snapshot(evaluate_full(rb, obj), rb)
 
     # perturb: displace a rule (the same one again if ``same``) and keep it;
     # undo: restore the last displaced rule to its weight before the perturb;
@@ -401,7 +410,7 @@ class TestExactness:
                 else:
                     pending = (rule.id, rule.weight)
                 rule.weight = target
-            assert bit_snapshot(state) == bit_snapshot(evaluate_full(rb, obj))
+            assert bit_snapshot(state, rb) == bit_snapshot(evaluate_full(rb, obj), rb)
 
     def test_restore_keeps_the_sign_of_a_zero_contribution(self):
         # -0.0 == 0.0, so a log that saved 0.0 * a must not stand in for -0.0 * a
@@ -411,8 +420,51 @@ class TestExactness:
         perturb_weight(state, rb, "r1", 0.4)
         restore_weight(state, rb, "r1", -0.0)
         rb.rule("r1").weight = -0.0
-        assert bit_snapshot(state) == bit_snapshot(evaluate_full(rb, obj))
-        assert str(state.contributions["c"]["r1"]) == "-0.0"
+        assert bit_snapshot(state, rb) == bit_snapshot(evaluate_full(rb, obj), rb)
+        assert str(snapshot(state, rb)[2]["c"]["r1"]) == "-0.0"
+
+    def probe_and_restore_are_bit_exact(self, rb, obj, rule_id, w_probe):
+        state = evaluate_full(rb, obj)
+        before = bit_snapshot(state, rb)
+        perturb_weight(state, rb, rule_id, w_probe)
+        assert bit_snapshot(state, rb) == bit_snapshot(full_oracle(rb, obj, rule_id, w_probe), rb)
+        restore_weight(state, rb, rule_id, rb.rule(rule_id).weight)
+        assert bit_snapshot(state, rb) == before
+
+    def test_unchecked_rule_into_an_input_overrides_its_fact(self):
+        # both paths fold f from 0.0, so the fact 0.5 never enters its CF
+        props = [
+            Proposition("f", INPUT),
+            Proposition("g", INPUT),
+            Proposition("c", DERIVED, output_class=True),
+        ]
+        rules = [
+            Rule(id="r1", antecedent=Ref("g"), consequent="f", weight=0.5),
+            Rule(id="r2", antecedent=Ref("f"), consequent="c", weight=0.5),
+        ]
+        rb = RuleBase(props, rules)
+        obj = TrainingObject(id="o", facts={"f": 0.5, "g": 1.0}, label="c")
+        assert evaluate_full(rb, obj).prop_cf["f"] == 0.5
+        self.probe_and_restore_are_bit_exact(rb, obj, "r1", 0.6)
+        assert full_oracle(rb, obj, "r1", 0.6).prop_cf["f"] == 0.6
+
+    def test_undeclared_consequent_whose_producers_fall_silent(self):
+        # x is bound at 0.0 when no rule fires into it, in both paths
+        props = [
+            Proposition("f", INPUT),
+            Proposition("p", DERIVED),
+            Proposition("c", DERIVED, output_class=True),
+        ]
+        rules = [
+            Rule(id="r1", antecedent=Ref("f"), consequent="p", weight=0.5),
+            Rule(id="r2", antecedent=Ref("p"), consequent="x", weight=0.5),
+            Rule(id="r3", antecedent=Ref("x"), consequent="c", weight=0.5),
+        ]
+        rb = RuleBase(props, rules)
+        obj = TrainingObject(id="o", facts={"f": 0.5}, label="c")
+        self.probe_and_restore_are_bit_exact(rb, obj, "r1", -0.5)
+        silent = full_oracle(rb, obj, "r1", -0.5)
+        assert silent.prop_cf["x"] == 0.0 and silent.prop_cf["c"] == 0.0
 
 
 def count_calls(mp, name):
@@ -435,8 +487,8 @@ def hex_maps(cfs, ante, buckets):
     return hexed(cfs), hexed(ante), {p: hexed(b) for p, b in buckets.items()}
 
 
-def bit_snapshot(state):
-    return hex_maps(*snapshot(state))
+def bit_snapshot(state, rb):
+    return hex_maps(*snapshot(state, rb))
 
 
 def reference_pass(rb, obj, threshold):
@@ -474,7 +526,7 @@ class TestFiringPlan:
         obj = random_object(rng, rb)
         state = evaluate_full(rb, obj, FiringPolicy(threshold=threshold))
         expected = reference_pass(rb, obj, threshold)
-        assert bit_snapshot(state) == hex_maps(*expected)
+        assert bit_snapshot(state, rb) == hex_maps(*expected)
         assert state.counters.rules_fired == sum(len(b) for b in expected[2].values())
 
     @pytest.mark.parametrize("antecedent", [Ref("ghost"), And((Ref("f"), Ref("ghost")))])
@@ -497,10 +549,12 @@ class TestFiringPlan:
             assert order == tuple(rid for rid in topo if rid in closure)
             plan = rb.closure_plan(r.id)
             assert tuple(rule.id for rule, *_ in plan) == order
-            for rule, _, consequent, refs, incoming in plan:
+            slots = [rule.id for _, entries in rb.firing_plan().steps for rule, _ in entries]
+            for rule, _, consequent, refs, slot, lo, hi in plan:
                 assert consequent == rule.consequent
-                assert refs == rb.antecedent_refs(rule.id)
-                assert incoming == rb.incoming_rules(consequent)
+                assert refs == referenced_props(rule.antecedent)
+                assert slots[slot] == rule.id
+                assert tuple(slots[lo:hi]) == rb.incoming_rules(consequent)
 
 
 class TestCounters:
@@ -516,7 +570,7 @@ class TestCounters:
             with pytest.MonkeyPatch.context() as mp:
                 calls = count_calls(mp, "combine_parallel")
                 state = evaluate_full(rb, obj)
-            firing = sum(len(b) for b in state.contributions.values())
+            firing = sum(c is not None for c in state.contributions)
             assert calls[0] == firing == state.counters.rules_fired
 
     def test_only_compound_antecedents_are_evaluated(self):

@@ -349,8 +349,8 @@ class TestTrain:
         assert trace.status == "line_search_failed"
         assert trace.iterations == []
         assert trained.rules[0].weight == 0.0
-        # every candidate, then the restoring pass
-        assert trace.budget.line_search_evals == (cfg.max_backtracks + 2) * len(data)
+        # every candidate; the restore resets the weights with no pass
+        assert trace.budget.line_search_evals == (cfg.max_backtracks + 1) * len(data)
 
     def test_second_step_is_the_two_point_step(self):
         rb, _, data, _ = generate(SynthSpec(features=5, classes=2, objects=10,
@@ -461,7 +461,7 @@ class TestAudit:
         assert audit_budget(trace) == "pass"
         assert b.probe_evals == b.gradients * b.objects * b.trainable_rules
 
-    def test_tms_run_skipped(self):
+    def test_tms_run_audited(self):
         # incremental forward runs count one probe per (rule, object) too,
         # so the identity is checked, not skipped
         rb, _, data, _ = generate(SynthSpec(features=5, classes=2, objects=8, seed=0))
