@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--fd", choices=["forward", "central"], default="forward")
-    p.add_argument("--fd-eps", type=float, default=1e-4)
+    p.add_argument("--fd-eps", type=float, default=1e-4, help="finite-difference step, in (0, 1]")
     p.add_argument("--step-init", type=float, default=0.5)
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--no-tms", action="store_true",

@@ -8,25 +8,28 @@ its incoming rules once, in slot order.  A rule fires when its antecedent
 CF exceeds the firing threshold; its contribution, weight x antecedent CF,
 is pooled into the consequent's CF, folded from 0.0.  An antecedent that is
 a bare reference is read straight from the CF map; any other goes through
-``eval_expr``.  The state keeps each rule's antecedent CF and contribution
-in two flat lists indexed by slot.
+``eval_expr``.  The state keeps each proposition's CF, each rule's
+contribution in a flat list indexed by slot, and the threshold the pass
+fired under.
 
 ``perturb_weight`` is the incremental path: changing a single rule's weight
 re-fires only that rule and the rules downstream of its consequent, walking
-the rule's cached closure plan.  Each affected proposition is refolded from
-0.0 over its slot range, which replays exactly the fold sequence a full
-pass would execute.  Propagation stops only where a proposition's CF is
-bitwise unchanged, so incremental results are bit-identical to a fresh full
-pass.
+the rule's cached closure plan, under the threshold the state's full pass
+used.  A re-fired rule reads its antecedent CF from the CF map as the full
+pass does, so a compound antecedent is evaluated again.  Each affected
+proposition is refolded from 0.0 over its slot range, which replays
+exactly the fold sequence a full pass would execute.  Propagation stops
+only where a proposition's CF is bitwise unchanged, so incremental results
+are bit-identical to a fresh full pass.
 
-Every perturb records the ``prop_cf``, ``rule_ante`` and ``contributions``
-entries it overwrites in an undo log on the state; each perturb starts a
-fresh log, and ``evaluate_full`` clears it.  ``restore_weight`` writes a
-matching log back in reverse, with no combine arithmetic and no firing, so
-the return to the pre-probe state is identical by construction.  A restore
-the log cannot serve (no pending log, another rule's log, or a weight whose
-contribution is not the one the log saved) re-fires the closure like a
-perturb.  A probe therefore costs one closure re-fire, not two.
+Every perturb records the ``prop_cf`` and ``contributions`` entries it
+overwrites in an undo log on the state; each perturb starts a fresh log,
+and ``evaluate_full`` clears it.  ``restore_weight`` writes a matching log
+back in reverse, with no combine arithmetic and no firing, so the return to
+the pre-probe state is identical by construction.  A restore the log cannot
+serve (no pending log, another rule's log, or a weight whose contribution
+is not the one the log saved) re-fires the closure like a perturb.  A probe
+therefore costs one closure re-fire, not two.
 
 ``combine_parallel`` and ``eval_expr`` are looked up as module globals at
 every call, so a wrapper installed on this module sees every combine and
@@ -76,27 +79,28 @@ class EvalCounters:
 class ObjectEvaluation:
     """Cached inference state for one object.
 
-    prop_cf holds every proposition's combined CF, by id.  rule_ante and
-    contributions are lists indexed by rule slot (see FiringPlan): each
-    rule's antecedent CF, and its contribution, or None while the rule does
-    not fire.  The fold invariant: each produced proposition's CF equals
-    the fold, from 0.0, of the contributions in its slot range [lo, hi).
+    prop_cf holds every proposition's combined CF, by id.  contributions is
+    a list indexed by rule slot (see FiringPlan): each rule's contribution,
+    or None while the rule does not fire.  The fold invariant: each
+    produced proposition's CF equals the fold, from 0.0, of the
+    contributions in its slot range [lo, hi).  threshold is the firing
+    threshold of the last full pass, which perturbs and restores keep.
 
     undo is the last perturb's undo log, or None: the perturbed rule's id
-    and slot, the contribution it overwrote (None when the rule does not
-    fire), and the (container, key, old value) of every entry the perturb
-    wrote, in write order.
+    and antecedent CF, the contribution it overwrote (None when the rule
+    does not fire), and the (container, key, old value) of every entry the
+    perturb wrote, in write order.
     """
 
-    __slots__ = ("object_id", "prop_cf", "rule_ante", "contributions", "counters", "undo")
+    __slots__ = ("object_id", "prop_cf", "contributions", "threshold", "counters", "undo")
 
     def __init__(self, object_id: str):
         self.object_id = object_id
         self.prop_cf: dict[str, float] = {}
-        self.rule_ante: list[float] = []
         self.contributions: list[float | None] = []
+        self.threshold = DEFAULT_POLICY.threshold
         self.counters = EvalCounters()
-        self.undo: tuple[str, int, float | None, list] | None = None
+        self.undo: tuple[str, float, float | None, list] | None = None
 
 
 def evaluate_full(
@@ -112,8 +116,8 @@ def evaluate_full(
     proposition folds from 0.0 and is bound, so on an unchecked base a rule
     concluding an input overrides its fact, and an undeclared consequent
     reads as 0 while no rule fires into it.  Pass ``into`` to reuse a state
-    object: its CF maps are rebuilt from scratch and its counters keep
-    accumulating.
+    object: its CFs, contributions and threshold are replaced, and its
+    counters keep accumulating.
     """
     if into is None:
         state = ObjectEvaluation(obj.id)
@@ -128,7 +132,6 @@ def evaluate_full(
     facts = obj.facts
     for p in plan.inputs:
         env[p] = facts.get(p, 0.0)
-    ante: list[float] = []
     contribs: list[float | None] = []
     threshold = policy.threshold
     fired = 0
@@ -136,7 +139,6 @@ def evaluate_full(
         acc = 0.0
         for rule, leaf in entries:
             a = env[leaf] if type(leaf) is str else eval_expr(leaf, env)
-            ante.append(a)
             if a > threshold:
                 c = rule.weight * a
                 contribs.append(c)
@@ -146,8 +148,8 @@ def evaluate_full(
                 contribs.append(None)
         env[prop_id] = acc
     state.prop_cf = env
-    state.rule_ante = ante
     state.contributions = contribs
+    state.threshold = threshold
     state.undo = None
     state.counters.rules_fired += fired
     return state
@@ -162,47 +164,41 @@ def _fold(contrib: list[float | None], lo: int, hi: int) -> float:
     return acc
 
 
-def perturb_weight(
-    state: ObjectEvaluation,
-    rb: RuleBase,
-    rule_id: str,
-    new_weight: float,
-    policy: FiringPolicy = DEFAULT_POLICY,
-) -> int:
+def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weight: float) -> int:
     """Re-evaluate the state as if the rule's weight were ``new_weight``.
 
     Only the rule itself and the affected part of its downstream closure
-    re-fire; the state is updated in place, and every entry overwritten is
-    recorded in a fresh undo log (see restore_weight).  Returns the number
-    of rules re-fired (at most the size of the downstream closure).  The
-    rule base itself is not consulted for the perturbed rule's weight, so
-    probing never requires mutating the base.
+    re-fire, under the threshold of the state's full pass; the state is
+    updated in place, and every entry overwritten is recorded in a fresh
+    undo log (see restore_weight).  Returns the number of rules re-fired
+    (at most the size of the downstream closure).  The rule base itself is
+    not consulted for the perturbed rule's weight, so probing never
+    requires mutating the base.
     """
     plan = rb.closure_plan(rule_id)
-    _, _, cons, _, slot, lo, hi = plan[0]
-    ante = state.rule_ante
+    _, leaf, cons, _, slot, lo, hi = plan[0]
     contrib = state.contributions
-    if len(ante) != len(rb.rules) or len(contrib) != len(rb.rules):
+    if len(contrib) != len(rb.rules):
         raise InconsistentState(
-            f"state of object {state.object_id!r} holds {len(ante)} rule slots, "
+            f"state of object {state.object_id!r} holds {len(contrib)} rule slots, "
             f"the base has {len(rb.rules)} rules"
         )
-    a = ante[slot]
+    prop_cf = state.prop_cf
+    a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
     saved = contrib[slot]
-    threshold = policy.threshold
+    threshold = state.threshold
     firing = a > threshold
     if firing != (saved is not None):
         raise InconsistentState(
             f"rule {rule_id!r} firing status disagrees with stored contributions"
         )
     if not firing:
-        state.undo = (rule_id, slot, None, [])
+        state.undo = (rule_id, a, None, [])
         return 0  # weight is irrelevant while the rule does not fire
     fired = 1
-    prop_cf = state.prop_cf
     old_cf = prop_cf[cons]
     log = [(contrib, slot, saved), (prop_cf, cons, old_cf)]
-    state.undo = (rule_id, slot, saved, log)
+    state.undo = (rule_id, a, saved, log)
     contrib[slot] = new_weight * a
     new_cf = _fold(contrib, lo, hi)
     prop_cf[cons] = new_cf
@@ -214,8 +210,6 @@ def perturb_weight(
         if changed.isdisjoint(refs):
             continue
         a2 = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
-        log.append((ante, s2, ante[s2]))
-        ante[s2] = a2
         fired += 1
         log.append((contrib, s2, contrib[s2]))
         contrib[s2] = r.weight * a2 if a2 > threshold else None
@@ -229,13 +223,7 @@ def perturb_weight(
     return fired
 
 
-def restore_weight(
-    state: ObjectEvaluation,
-    rb: RuleBase,
-    rule_id: str,
-    old_weight: float,
-    policy: FiringPolicy = DEFAULT_POLICY,
-) -> int:
+def restore_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, old_weight: float) -> int:
     """Inverse of perturb_weight: return the state to the rule's weight
     ``old_weight``; returns the number of rules re-fired.
 
@@ -249,13 +237,13 @@ def restore_weight(
     bit-identical to a fresh full pass at ``old_weight``.
     """
     if state.undo is not None and state.undo[0] == rule_id:
-        _, slot, saved, log = state.undo
-        if saved is None or _same_bits(old_weight * state.rule_ante[slot], saved):
+        _, a, saved, log = state.undo
+        if saved is None or _same_bits(old_weight * a, saved):
             state.undo = None
             for container, key, old in reversed(log):
                 container[key] = old
             return 0
-    return perturb_weight(state, rb, rule_id, old_weight, policy)
+    return perturb_weight(state, rb, rule_id, old_weight)
 
 
 def _same_bits(x: float, y: float) -> bool:

@@ -42,8 +42,10 @@ Every full pass goes through one scoring routine, ``_Session.score``, which
 re-evaluates one part's reusable states and returns (objective, metric,
 penalty): the initial score, each line-search candidate, each holdout
 evaluation and, in naive mode (``use_tms`` off), each probe, which
-re-scores a scratch copy of the training part.  A failed search restores
-only the weights: training stops there and never reads the states again.
+re-scores the training part itself: after a naive gradient the training
+states hold the last probe until the next score, and nothing reads them in
+between.  A failed search restores only the weights: training stops there
+and never reads the states again.
 
 Accounting: ``probe_evals`` counts one per (rule, object) probe (two per
 pair for non-degenerate central differences), in both modes, so a
@@ -52,8 +54,8 @@ forward-difference run ends with
 ``audit_budget`` checks that identity.  Line-search evaluations are counted
 in their own field and excluded by definition.  ``firings`` is read from
 the states: the sum of the engine's own ``rules_fired`` counters over every
-state the run evaluated (training, holdout and scratch), taken once when
-the run returns, so a replayed restore adds nothing.
+state the run evaluated (training and holdout), taken once when the run
+returns, so a replayed restore adds nothing.
 """
 
 from __future__ import annotations
@@ -97,12 +99,14 @@ class OptimizerConfig:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
-        if self.fd_eps <= 0.0:
-            raise ValueError("fd_eps must be > 0")
+        if not (0.0 < self.fd_eps <= 1.0):  # a larger step probes outside [-1, 1]
+            raise ValueError("fd_eps must be in (0, 1]")
         if self.fd_scheme not in ("forward", "central"):
             raise ValueError(f"unknown fd_scheme {self.fd_scheme!r}")
         if self.step_init <= 0.0:
             raise ValueError("step_init must be > 0")
+        if not (0.0 <= self.armijo_c < 1.0):
+            raise ValueError("armijo_c must be in [0, 1)")
         if not (0.0 < self.shrink < 1.0):
             raise ValueError("shrink must be in (0, 1)")
         if self.max_backtracks < 0 or self.max_iters < 1:
@@ -267,9 +271,10 @@ class _Part:
 
 class _Session:
     """Exclusive-access state of one training run: the working rule base,
-    the training part, the holdout part, in naive mode a scratch part of
-    the training objects that every probe re-scores, and the budget
-    counters.  Every full pass goes through score()."""
+    the training part, the holdout part and the budget counters.  Every
+    full pass goes through score(); in naive mode each probe is one, over
+    the training part, so after a naive gradient the training states hold
+    the last probe until the next score."""
 
     def __init__(
         self,
@@ -298,7 +303,6 @@ class _Session:
             raise NoTrainableRules("no rule is trainable")
         self.train = _Part(objects)
         self.holdout = _Part(holdout)
-        self.scratch = _Part(() if cfg.use_tms else objects)
         self.budget = budget if budget is not None else EvaluationBudget()
         self.budget.objects = len(self.train.objects)
         self.budget.trainable_rules = len(self.trainable)
@@ -314,7 +318,7 @@ class _Session:
 
     def fired(self) -> int:
         """Rules fired so far by every state this session evaluated."""
-        parts = (self.train, self.holdout, self.scratch)
+        parts = (self.train, self.holdout)
         return sum(st.counters.rules_fired for part in parts for st in part.states)
 
     def _probe_objective(self, rule: Rule, w_probe: float, base_pen: float) -> float:
@@ -326,16 +330,16 @@ class _Session:
             if self.cfg.use_tms:
                 states = self.train.states
                 for st in states:
-                    perturb_weight(st, self.rb, rule.id, w_probe, self.policy)
+                    perturb_weight(st, self.rb, rule.id, w_probe)
                 value = self.metric_fn(states, self.train.labels, self.classes).value
                 if rule.bound_kind == SOFT:
                     value += penalty(self.rb, self.cfg.penalty)
                 else:  # the rule adds no penalty term at any weight
                     value += base_pen
                 for st in states:
-                    restore_weight(st, self.rb, rule.id, old, self.policy)
+                    restore_weight(st, self.rb, rule.id, old)
             else:
-                value = self.score(self.scratch)[0]
+                value = self.score(self.train)[0]
         finally:
             rule.weight = old
         self.budget.probe_evals += len(self.train.objects)

@@ -313,6 +313,15 @@ class TestRobustness:
                  *(["--out", str(tmp_path / "run")] if argv[0] == "train" else []))
         assert_one_error(capsys, rc)
 
+    @pytest.mark.parametrize("value", ["5", "1e300"])
+    def test_fd_eps_above_one(self, gen_dir, tmp_path, capsys, value):
+        # a probe step above 1 would evaluate weights outside [-1, 1]
+        rc = run("train", "--rules", str(gen_dir / "rules.json"),
+                 "--data", str(gen_dir / "train.jsonl"), "--fd-eps", value,
+                 "--out", str(tmp_path / "run"))
+        assert "fd_eps" in assert_one_error(capsys, rc)
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan", "1.0", "-0.5"])
     def test_gen_holdout_out_of_range(self, tmp_path, capsys, value):
         rc = run("gen", "--features", "4", "--classes", "2", "--objects", "10",

@@ -57,13 +57,13 @@ def chain3_base():
     return RuleBase(props, rules)
 
 
-def full_oracle(rb, obj, rule_id, new_weight):
+def full_oracle(rb, obj, rule_id, new_weight, policy=engine.DEFAULT_POLICY):
     """Independent check: full pass with the weight actually swapped in."""
     rule = rb.rule(rule_id)
     old = rule.weight
     rule.weight = new_weight
     try:
-        return evaluate_full(rb, obj)
+        return evaluate_full(rb, obj, policy)
     finally:
         rule.weight = old
 
@@ -134,7 +134,7 @@ class TestEvaluateFull:
         first = evaluate_full(rb, obj)
         second = evaluate_full(rb, obj)
         assert first.prop_cf == second.prop_cf
-        assert first.rule_ante == second.rule_ante
+        assert first.contributions == second.contributions
 
     def test_into_reuse_accumulates_counters(self):
         rb = single_rule_base()
@@ -303,22 +303,21 @@ class TestPerturb:
 
 
 def snapshot(state, rb):
-    """The state's CFs, its antecedent CFs by rule id, and its firing
-    rules' contributions by consequent and rule id, read through the
-    firing plan's slots."""
-    assert len(state.rule_ante) == len(state.contributions) == len(rb.rules)
-    ante, buckets = {}, {}
+    """The state's CFs, and its firing rules' contributions by consequent
+    and rule id, read through the firing plan's slots."""
+    assert len(state.contributions) == len(rb.rules)
+    buckets = {}
     for rid, (_, _, cons, _, slot, _, _) in rb.firing_plan().refires.items():
-        ante[rid] = state.rule_ante[slot]
         bucket = buckets.setdefault(cons, {})
         if state.contributions[slot] is not None:
             bucket[rid] = state.contributions[slot]
-    return dict(state.prop_cf), ante, buckets
+    return dict(state.prop_cf), buckets
 
 
 class TestExactness:
-    """The default policy's incremental path against fresh full passes,
-    compared with == (never approx) over random layered DAGs."""
+    """The incremental path against fresh full passes under the same
+    firing threshold, compared with == (never approx) over random layered
+    DAGs."""
 
     steps = st.lists(
         st.tuples(
@@ -332,12 +331,17 @@ class TestExactness:
     )
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), steps=steps)
-    def test_perturb_sequences_are_bit_exact(self, seed, steps):
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        threshold=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.99)),
+        steps=steps,
+    )
+    def test_perturb_sequences_are_bit_exact(self, seed, threshold, steps):
         rng = random.Random(seed)
         rb = random_rulebase(rng, max_rules=40)
         obj = random_object(rng, rb)
-        state = evaluate_full(rb, obj)
+        policy = FiringPolicy(threshold=threshold)
+        state = evaluate_full(rb, obj, policy)
         for pick, w, nudge, keep in steps:
             rule = rb.rules[pick % len(rb.rules)]
             # nudges move propositions by less than 1e-15, where an
@@ -345,13 +349,39 @@ class TestExactness:
             w_new = min(max(rule.weight + w * 1e-14, -1.0), 1.0) if nudge else w
             before = snapshot(state, rb)
             perturb_weight(state, rb, rule.id, w_new)
-            assert snapshot(state, rb) == snapshot(full_oracle(rb, obj, rule.id, w_new), rb)
+            oracle = full_oracle(rb, obj, rule.id, w_new, policy)
+            assert snapshot(state, rb) == snapshot(oracle, rb)
             if keep:
                 rule.weight = w_new
             else:
                 restore_weight(state, rb, rule.id, rule.weight)
                 assert snapshot(state, rb) == before
-        assert snapshot(state, rb) == snapshot(evaluate_full(rb, obj), rb)
+        assert snapshot(state, rb) == snapshot(evaluate_full(rb, obj, policy), rb)
+
+    def test_perturb_keeps_the_threshold_of_the_full_pass(self):
+        # under 0.5 only r1 fires; read under 0.0, r2 and r4 would fire too
+        props = [
+            Proposition("f", INPUT),
+            Proposition("g", INPUT),
+            Proposition("p", DERIVED),
+            Proposition("c", DERIVED, output_class=True),
+        ]
+        rules = [
+            Rule(id="r1", antecedent=Ref("f"), consequent="p", weight=0.5),
+            Rule(id="r2", antecedent=Ref("p"), consequent="c", weight=0.9),
+            Rule(id="r4", antecedent=Ref("g"), consequent="c", weight=0.6),
+        ]
+        rb = RuleBase(props, rules)
+        obj = TrainingObject(id="o", facts={"f": 0.8, "g": 0.3}, label="c")
+        policy = FiringPolicy(threshold=0.5)
+        state = evaluate_full(rb, obj, policy)
+        before = bit_snapshot(state, rb)
+        perturb_weight(state, rb, "r1", 0.55)
+        oracle = full_oracle(rb, obj, "r1", 0.55, policy)
+        assert bit_snapshot(state, rb) == bit_snapshot(oracle, rb)
+        assert state.prop_cf["c"] == 0.0
+        restore_weight(state, rb, "r1", 0.5)
+        assert bit_snapshot(state, rb) == before
 
     # perturb: displace a rule (the same one again if ``same``) and keep it;
     # undo: restore the last displaced rule to its weight before the perturb;
@@ -421,7 +451,7 @@ class TestExactness:
         restore_weight(state, rb, "r1", -0.0)
         rb.rule("r1").weight = -0.0
         assert bit_snapshot(state, rb) == bit_snapshot(evaluate_full(rb, obj), rb)
-        assert str(snapshot(state, rb)[2]["c"]["r1"]) == "-0.0"
+        assert str(snapshot(state, rb)[1]["c"]["r1"]) == "-0.0"
 
     def probe_and_restore_are_bit_exact(self, rb, obj, rule_id, w_probe):
         state = evaluate_full(rb, obj)
@@ -480,11 +510,11 @@ def count_calls(mp, name):
     return calls
 
 
-def hex_maps(cfs, ante, buckets):
-    """The three state maps with every float as its hex form, so that
+def hex_maps(cfs, buckets):
+    """The two state maps with every float as its hex form, so that
     equality is bit equality (== would equate -0.0 and 0.0)."""
     hexed = lambda d: {k: v.hex() for k, v in d.items()}
-    return hexed(cfs), hexed(ante), {p: hexed(b) for p, b in buckets.items()}
+    return hexed(cfs), {p: hexed(b) for p, b in buckets.items()}
 
 
 def bit_snapshot(state, rb):
@@ -499,16 +529,15 @@ def reference_pass(rb, obj, threshold):
         p.id: obj.facts.get(p.id, 0.0) if p.kind == INPUT else 0.0
         for p in rb.propositions.values()
     }
-    ante, buckets = {}, {}
+    buckets = {}
     for rid in rb.topological_order():
         rule = rb.rules_by_id[rid]
         a = eval_expr(rule.antecedent, env)
-        ante[rid] = a
         bucket = buckets.setdefault(rule.consequent, {})
         if a > threshold:
             bucket[rid] = rule.weight * a
             env[rule.consequent] = combine_parallel(env[rule.consequent], bucket[rid])
-    return env, ante, buckets
+    return env, buckets
 
 
 class TestFiringPlan:
@@ -527,7 +556,7 @@ class TestFiringPlan:
         state = evaluate_full(rb, obj, FiringPolicy(threshold=threshold))
         expected = reference_pass(rb, obj, threshold)
         assert bit_snapshot(state, rb) == hex_maps(*expected)
-        assert state.counters.rules_fired == sum(len(b) for b in expected[2].values())
+        assert state.counters.rules_fired == sum(len(b) for b in expected[1].values())
 
     @pytest.mark.parametrize("antecedent", [Ref("ghost"), And((Ref("f"), Ref("ghost")))])
     def test_unknown_reference_raises_unbound(self, antecedent):

@@ -75,6 +75,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             OptimizerConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("fd_eps", 0.0), ("fd_eps", -1e-4), ("fd_eps", 1.0 + 1e-12), ("fd_eps", 5.0),
+         ("fd_eps", 1e300), ("armijo_c", -1e6), ("armijo_c", -1e-12), ("armijo_c", 1.0)],
+    )
+    def test_out_of_range_rejected(self, name, value):
+        # fd_eps > 1 probes weights outside [-1, 1]; armijo_c < 0 accepts a
+        # rising objective, armijo_c >= 1 asks more than the linear decrease
+        with pytest.raises(ValueError, match=name):
+            OptimizerConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value", [("fd_eps", 1.0), ("armijo_c", 0.0), ("armijo_c", 0.999)]
+    )
+    def test_range_edges_accepted(self, name, value):
+        assert getattr(OptimizerConfig(**{name: value}), name) == value
+
 
 class TestGradient:
     def test_matches_analytic_at_zero(self):
@@ -292,13 +309,21 @@ class TestTrain:
         assert final_violation < initial_violation
         assert_monotone(trace)
 
-    def test_tms_and_naive_agree_on_final_weights(self):
+    @pytest.mark.parametrize("threshold", [0.0, 0.3])
+    def test_tms_and_naive_agree_on_final_weights(self, threshold):
+        # the incremental gradient equals the naive one bit for bit, so the
+        # two runs take the same steps; only their firing counts differ
         rb, _, data, _ = generate(SynthSpec(features=5, classes=2, objects=10,
                                             noise=0.2, seed=6))
-        t1, _ = train(rb, data, OptimizerConfig(seed=6, max_iters=25, use_tms=True))
-        t2, _ = train(rb, data, OptimizerConfig(seed=6, max_iters=25, use_tms=False))
-        for r1, r2 in zip(t1.rules, t2.rules):
-            assert abs(r1.weight - r2.weight) <= 1e-8
+        runs = [
+            train(rb, data, OptimizerConfig(seed=6, max_iters=25, use_tms=use_tms,
+                                            threshold=threshold, holdout_fraction=0.2))
+            for use_tms in (True, False)
+        ]
+        (t1, tr1), (t2, tr2) = runs
+        assert [r.weight.hex() for r in t1.rules] == [r.weight.hex() for r in t2.rules]
+        assert json.dumps(tr1.to_dict()["iterations"]) == json.dumps(tr2.to_dict()["iterations"])
+        assert tr1.status == tr2.status
 
     def test_fixed_seed_reruns_bit_identical(self):
         rb, _, data, _ = generate(SynthSpec(features=5, classes=2, objects=10,
