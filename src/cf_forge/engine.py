@@ -13,14 +13,16 @@ contribution in a flat list indexed by slot, and the threshold the pass
 fired under.
 
 ``perturb_weight`` is the incremental path: changing a single rule's weight
-re-fires only that rule and the rules downstream of its consequent, walking
-the rule's cached closure plan, under the threshold the state's full pass
-used.  A re-fired rule reads its antecedent CF from the CF map as the full
-pass does, so a compound antecedent is evaluated again.  Each affected
-proposition is refolded from 0.0 over its slot range, which replays
-exactly the fold sequence a full pass would execute.  Propagation stops
-only where a proposition's CF is bitwise unchanged, so incremental results
-are bit-identical to a fresh full pass.
+re-fires only that rule and the rules downstream of its consequent, in one
+loop over the rule's cached closure plan, under the threshold the state's
+full pass used.  The first entry is the perturbed rule, which contributes
+the new weight times its antecedent CF; each later entry re-fires when its
+antecedent reads a proposition whose CF changed.  A re-fired rule reads its
+antecedent CF from the CF map as the full pass does, so a compound
+antecedent is evaluated again, and its consequent is refolded from 0.0 over
+its slot range, which replays exactly the fold sequence a full pass would
+execute.  Propagation stops only where a proposition's CF is bitwise
+unchanged, so incremental results are bit-identical to a fresh full pass.
 
 Every perturb records the ``prop_cf`` and ``contributions`` entries it
 overwrites in an undo log on the state; each perturb starts a fresh log,
@@ -167,16 +169,18 @@ def _fold(contrib: list[float | None], lo: int, hi: int) -> float:
 def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weight: float) -> int:
     """Re-evaluate the state as if the rule's weight were ``new_weight``.
 
-    Only the rule itself and the affected part of its downstream closure
-    re-fire, under the threshold of the state's full pass; the state is
-    updated in place, and every entry overwritten is recorded in a fresh
+    One loop walks the rule's closure plan under the threshold of the
+    state's full pass: the rule itself re-fires with ``new_weight`` (unless
+    it does not fire, when nothing changes), and each later rule re-fires
+    when its antecedent reads a proposition whose CF changed; every re-fire
+    refolds its consequent and writes its contribution and CF.  The state
+    is updated in place, and every entry overwritten is recorded in a fresh
     undo log (see restore_weight).  Returns the number of rules re-fired
     (at most the size of the downstream closure).  The rule base itself is
     not consulted for the perturbed rule's weight, so probing never
     requires mutating the base.
     """
     plan = rb.closure_plan(rule_id)
-    _, leaf, cons, _, slot, lo, hi = plan[0]
     contrib = state.contributions
     if len(contrib) != len(rb.rules):
         raise InconsistentState(
@@ -184,6 +188,7 @@ def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weig
             f"the base has {len(rb.rules)} rules"
         )
     prop_cf = state.prop_cf
+    _, leaf, _, _, slot, _, _ = plan[0]
     a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
     saved = contrib[slot]
     threshold = state.threshold
@@ -192,33 +197,29 @@ def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weig
         raise InconsistentState(
             f"rule {rule_id!r} firing status disagrees with stored contributions"
         )
-    if not firing:
-        state.undo = (rule_id, a, None, [])
-        return 0  # weight is irrelevant while the rule does not fire
-    fired = 1
-    old_cf = prop_cf[cons]
-    log = [(contrib, slot, saved), (prop_cf, cons, old_cf)]
+    log: list = []
     state.undo = (rule_id, a, saved, log)
-    contrib[slot] = new_weight * a
-    new_cf = _fold(contrib, lo, hi)
-    prop_cf[cons] = new_cf
-    if new_cf == old_cf:
-        state.counters.rules_fired += fired
-        return fired
-    changed = {cons}
-    for r, leaf, cons2, refs, s2, lo2, hi2 in plan[1:]:
-        if changed.isdisjoint(refs):
+    if not firing:
+        return 0  # weight is irrelevant while the rule does not fire
+    fired = 0
+    changed: set[str] = set()
+    for r, leaf, cons, refs, s, lo, hi in plan:
+        if not fired:  # the perturbed rule, firing as checked above
+            c = new_weight * a
+        elif changed.isdisjoint(refs):
             continue
-        a2 = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
+        else:
+            a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
+            c = r.weight * a if a > threshold else None
         fired += 1
-        log.append((contrib, s2, contrib[s2]))
-        contrib[s2] = r.weight * a2 if a2 > threshold else None
-        old2 = prop_cf[cons2]
-        log.append((prop_cf, cons2, old2))
-        new2 = _fold(contrib, lo2, hi2)
-        prop_cf[cons2] = new2
-        if new2 != old2:
-            changed.add(cons2)
+        old = prop_cf[cons]
+        log.append((contrib, s, contrib[s]))
+        log.append((prop_cf, cons, old))
+        contrib[s] = c
+        new = _fold(contrib, lo, hi)
+        prop_cf[cons] = new
+        if new != old:
+            changed.add(cons)
     state.counters.rules_fired += fired
     return fired
 

@@ -180,7 +180,7 @@ class RuleBase:
         try:
             return self.rules_by_id[rule_id]
         except KeyError:
-            raise UnknownRule(rule_id) from None
+            raise UnknownRule(f"unknown rule {rule_id!r}") from None
 
     def incoming_rules(self, prop_id: str) -> tuple[str, ...]:
         """Rules with this consequent, in topological firing order."""
@@ -222,30 +222,27 @@ class RuleBase:
             return self._plan
         self._ensure_graph()
         props = self.propositions
-        leaves = {}
-        for r in self.rules:
-            e = r.antecedent
-            leaves[r.id] = e.prop if type(e) is Ref and e.prop in props else e
         incoming = self._incoming
-        last = {p: self._pos[ids[-1]] for p, ids in incoming.items()}
-        order = sorted(incoming, key=last.__getitem__)
-        slot: dict[str, int] = {}
-        span: dict[str, tuple[int, int]] = {}
-        for p in order:
-            lo = len(slot)
-            slot.update((rid, i) for i, rid in enumerate(incoming[p], lo))
-            span[p] = (lo, len(slot))
         by_id = self.rules_by_id
+        steps = []
+        refires = {}
+        lo = 0
+        for p in sorted(incoming, key=lambda p: self._pos[incoming[p][-1]]):
+            hi = lo + len(incoming[p])
+            entries = []
+            for slot, rid in enumerate(incoming[p], lo):
+                r = by_id[rid]
+                e = r.antecedent
+                leaf = e.prop if type(e) is Ref and e.prop in props else e
+                entries.append((r, leaf))
+                refires[rid] = (r, leaf, p, self._refs[rid], slot, lo, hi)
+            steps.append((p, tuple(entries)))
+            lo = hi
         self._plan = FiringPlan(
             initial=dict.fromkeys(props, 0.0),
             inputs=tuple(p.id for p in props.values() if p.kind == INPUT),
-            steps=tuple(
-                (p, tuple((by_id[rid], leaves[rid]) for rid in incoming[p])) for p in order
-            ),
-            refires={
-                r.id: (r, leaves[r.id], r.consequent, self._refs[r.id], slot[r.id], *span[r.consequent])
-                for r in self.rules
-            },
+            steps=tuple(steps),
+            refires=refires,
         )
         return self._plan
 

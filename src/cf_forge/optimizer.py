@@ -24,6 +24,13 @@ undefined there.
   ``step_init``.  A failed search (``max_backtracks`` exhausted) means the
   gradient gave no descent direction, e.g. at a kink of the objective.
 
+The gradient is one list, a component per trainable rule in the session's
+order, which the line search and the Barzilai-Borwein step read beside the
+list of weights; only the public ``gradient`` keys it by rule id.  Each
+component probes at ``w +- fd_eps``: a central difference when both points
+lie in [-1, 1], otherwise (and for every forward difference) a forward
+difference toward the inside of [-1, 1].
+
 Gradient probes displace one weight at a time, so with incremental
 re-evaluation enabled (``use_tms``) each probe re-fires only the perturbed
 rule's downstream closure per object, once: the restore replays the
@@ -345,58 +352,49 @@ class _Session:
         self.budget.probe_evals += len(self.train.objects)
         return value
 
-    def gradient(self, base_objective: float) -> dict[str, float]:
+    def gradient(self, base_objective: float) -> list[float]:
+        """Finite-difference gradient at the current weights, one component
+        per rule of ``trainable``, in that order, with probe step
+        ``h = fd_eps``; see the module docstring for the two formulas."""
         cfg = self.cfg
+        h = cfg.fd_eps
         base_pen = penalty(self.rb, cfg.penalty)
-        g: dict[str, float] = {}
+        g: list[float] = []
         for rule in self.trainable:
             w = rule.weight
-            h = cfg.fd_eps * max(1.0, abs(w))
-            if cfg.fd_scheme == "forward":
-                e = h if w + h <= 1.0 else -h
-                f1 = self._probe_objective(rule, w + e, base_pen)
-                g[rule.id] = (f1 - base_objective) / e
+            if cfg.fd_scheme == "central" and w + h <= 1.0 and w - h >= -1.0:
+                f_hi = self._probe_objective(rule, w + h, base_pen)
+                f_lo = self._probe_objective(rule, w - h, base_pen)
+                g.append((f_hi - f_lo) / (2.0 * h))
             else:
-                hi_ok = w + h <= 1.0
-                lo_ok = w - h >= -1.0
-                if hi_ok and lo_ok:
-                    f_hi = self._probe_objective(rule, w + h, base_pen)
-                    f_lo = self._probe_objective(rule, w - h, base_pen)
-                    g[rule.id] = (f_hi - f_lo) / (2.0 * h)
-                elif hi_ok:
-                    f_hi = self._probe_objective(rule, w + h, base_pen)
-                    g[rule.id] = (f_hi - base_objective) / h
-                else:
-                    f_lo = self._probe_objective(rule, w - h, base_pen)
-                    g[rule.id] = (base_objective - f_lo) / h
+                e = h if w + h <= 1.0 else -h
+                g.append((self._probe_objective(rule, w + e, base_pen) - base_objective) / e)
         self.budget.gradients += 1
         return g
 
-    def projected_inf_norm(self, g: dict[str, float]) -> float:
+    def projected_inf_norm(self, g: list[float]) -> float:
         """Infinity norm of the projected gradient: a component is zero
         when its weight sits on a projection bound and -g points outward."""
         norm = 0.0
-        for r in self.trainable:
+        for r, v in zip(self.trainable, g):
             lo, hi = _projection_interval(r)
-            v = g[r.id]
             if not ((r.weight == lo and v > 0.0) or (r.weight == hi and v < 0.0)):
                 norm = max(norm, abs(v))
         return norm
 
     def line_search(
-        self, f_base: float, g: dict[str, float], step: float
+        self, f_base: float, w: list[float], g: list[float], step: float
     ) -> tuple[bool, float, int, float, float, float]:
         """Backtracking Armijo search along the projection arc
-        P(w - step g) from the current weights, starting at ``step``.  On
-        failure the original weights are restored."""
+        P(w - step g) from the weights ``w`` of ``trainable``, starting at
+        ``step``.  On failure the weights ``w`` are restored."""
         cfg = self.cfg
-        w0 = {r.id: r.weight for r in self.trainable}
         backtracks = 0
         while True:
             decrease = 0.0  # g . (w - P(w - step g)), >= 0 from a feasible w
-            for r in self.trainable:
-                r.weight = _project(r, w0[r.id] - step * g[r.id])
-                decrease += g[r.id] * (w0[r.id] - r.weight)
+            for r, wi, gi in zip(self.trainable, w, g):
+                r.weight = _project(r, wi - step * gi)
+                decrease += gi * (wi - r.weight)
             self.budget.line_search_evals += len(self.train.objects)
             f_cand, m_cand, p_cand = self.score(self.train)
             # max(): a declared weight outside its hard bound may project
@@ -405,8 +403,8 @@ class _Session:
                 return True, step, backtracks, f_cand, m_cand, p_cand
             backtracks += 1
             if backtracks > cfg.max_backtracks:
-                for r in self.trainable:
-                    r.weight = w0[r.id]
+                for r, wi in zip(self.trainable, w):
+                    r.weight = wi
                 return False, 0.0, backtracks, f_base, 0.0, 0.0
             step *= cfg.shrink
 
@@ -433,7 +431,7 @@ def gradient(
     sess = _Session(rb, dataset, cfg, metric_fn, budget=budget)
     g = sess.gradient(sess.score(sess.train)[0])
     sess.budget.firings += sess.fired()
-    return g
+    return {r.id: v for r, v in zip(sess.trainable, g)}
 
 
 def _split_dataset(
@@ -482,13 +480,12 @@ def train(
             status = "converged_gradient"
             break
         w = [r.weight for r in sess.trainable]
-        gv = [g[r.id] for r in sess.trainable]
-        step = cfg.step_init if last is None else _bb_step(w, gv, *last, cfg.step_init)
-        ok, step, backtracks, f_new, m_new, p_new = sess.line_search(f_cur, g, step)
+        step = cfg.step_init if last is None else _bb_step(w, g, *last, cfg.step_init)
+        ok, step, backtracks, f_new, m_new, p_new = sess.line_search(f_cur, w, g, step)
         if not ok:
             status = "line_search_failed"
             break
-        last = (w, gv)
+        last = (w, g)
         rel = (f_cur - f_new) / max(1.0, abs(f_cur))
         f_cur, m_cur, p_cur = f_new, m_new, p_new
         records.append(

@@ -313,6 +313,16 @@ class TestRobustness:
                  *(["--out", str(tmp_path / "run")] if argv[0] == "train" else []))
         assert_one_error(capsys, rc)
 
+    @pytest.mark.parametrize(
+        "ids, unknown", [("nope", "nope"), ("r_f000_c0,", ""), (",", "")],
+        ids=["unknown", "trailing-comma", "comma"],
+    )
+    def test_train_only_unknown_rule(self, gen_dir, tmp_path, capsys, ids, unknown):
+        rc = run("train", "--rules", str(gen_dir / "rules.json"),
+                 "--data", str(gen_dir / "train.jsonl"), "--train-only", ids,
+                 "--out", str(tmp_path / "run"))
+        assert assert_one_error(capsys, rc) == f"error: unknown rule {unknown!r}"
+
     @pytest.mark.parametrize("value", ["5", "1e300"])
     def test_fd_eps_above_one(self, gen_dir, tmp_path, capsys, value):
         # a probe step above 1 would evaluate weights outside [-1, 1]

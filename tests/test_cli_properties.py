@@ -1,6 +1,6 @@
 """CLI robustness over generated argv and malformed input files: every run
-of ``train``, ``eval`` or ``audit`` ends with exit 0, 1, 2 or 3 and never
-with a traceback."""
+of ``train``, ``eval`` or ``audit`` ends with exit 0, 1, 2 or 3, never with
+a traceback, and an exit 2 says what was wrong on every error line."""
 
 import contextlib
 import io
@@ -8,7 +8,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cf_forge import OptimizerConfig, SynthSpec, generate, serialize, train
 from cf_forge.model import object_to_dict
@@ -143,9 +143,13 @@ def invocations(draw):
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_cli_exits_with_a_documented_code(data):
-    argv, files = data.draw(invocations())
+@given(invocation=invocations())
+@example(invocation=(
+    ["train", "--rules", "rules.json", "--data", "data.jsonl", "--out", "out", "--train-only", ","],
+    VALID,
+))
+def test_cli_exits_with_a_documented_code(invocation):
+    argv, files = invocation
     with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
         for name, content in files.items():
             path = Path(name)
@@ -156,3 +160,7 @@ def test_cli_exits_with_a_documented_code(data):
         rc, err = run_cli(argv)
     assert rc in EXIT_CODES, (argv, rc, err)
     assert "Traceback" not in err
+    if rc == 2:
+        for line in err.splitlines():
+            if "error:" in line:
+                assert line.partition("error:")[2].strip(), (argv, err)

@@ -56,6 +56,12 @@ class TestValidate:
     def test_valid_base(self):
         assert validate(tiny_base()) == []
 
+    def test_leaves_the_firing_plan_unbuilt(self):
+        # validate runs on every load; only an engine pass needs the plan
+        rb = tiny_base()
+        assert validate(rb) == []
+        assert rb._plan is None
+
     def test_fifty_rule_flat_base(self):
         from cf_forge import SynthSpec, generate
 
@@ -169,7 +175,7 @@ class TestGraph:
         assert rb.downstream_closure("r1") == {"r1", "r2"}
 
     def test_closure_unknown_rule(self):
-        with pytest.raises(UnknownRule):
+        with pytest.raises(UnknownRule, match="unknown rule 'nope'"):
             tiny_base().downstream_closure("nope")
 
     def test_closure_matches_brute_force_on_random_dags(self):

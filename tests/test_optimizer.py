@@ -30,7 +30,7 @@ from cf_forge import (
     train,
     train_multi,
 )
-from cf_forge.metric import MetricValue
+from cf_forge.metric import MetricValue, margin_metric
 from cf_forge.model import DERIVED, INPUT
 from cf_forge.optimizer import BB_STEP_MAX, BB_STEP_MIN, _bb_step, _split_dataset
 
@@ -116,6 +116,28 @@ class TestGradient:
         for scheme in ("forward", "central"):
             g = gradient(rb, data, OptimizerConfig(fd_scheme=scheme))
             assert g["r1"] == pytest.approx(analytic, rel=1e-3)
+
+    @pytest.mark.parametrize("scheme", ["forward", "central"])
+    @pytest.mark.parametrize("w", [1.0, -1.0, 0.3])
+    def test_probe_steps_by_fd_eps_toward_the_inside(self, scheme, w):
+        # with fact 1.0 the class CF is the weight, so the CFs the metric
+        # sees after the base score are the probed weights
+        eps = 1e-4
+        seen = []
+
+        def recording_metric(evaluations, labels, classes):
+            seen.append(evaluations[0].prop_cf["c"])
+            return margin_metric(evaluations, labels, classes)
+
+        rb, data = one_rule_problem(weight=w, fact=1.0)
+        gradient(rb, data, OptimizerConfig(fd_eps=eps, fd_scheme=scheme), recording_metric)
+        if w == 1.0:
+            probes = [1.0 - eps]
+        elif w == -1.0:
+            probes = [-1.0 + eps]
+        else:
+            probes = [w + eps, w - eps] if scheme == "central" else [w + eps]
+        assert seen == [w, *probes]
 
     def test_all_zero_facts_give_zero_gradient(self):
         rb, _ = one_rule_problem()
