@@ -131,11 +131,12 @@ def cmd_train(args) -> int:
         penalty=PenaltyConfig(coefficient=args.mu),
         train_only=tuple(args.train_only.split(",")) if args.train_only else None,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     trained, trace, _ = train_multi(rb, dataset, cfg, margin_metric)
     wall = time.perf_counter() - started
+    # made only now, so a run that fails before training leaves no directory
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_rulebase(trained, out / "trained.json")
     _write_json(trace.to_dict(), out / "trace.json")
     # scores come from the trace (over the training split, and the holdout
@@ -152,7 +153,7 @@ def cmd_train(args) -> int:
         "holdout_curve": [
             rec.holdout_objective for rec in trace.iterations
         ] if trace.holdout_size else [],
-        "budget": trace.to_dict()["budget"],
+        "budget": vars(trace.budget),
         "boundary_stall": trace.boundary_stall,
         "iterations": len(trace.iterations),
         "wall_time_s": wall,

@@ -315,6 +315,7 @@ def validate(rb: RuleBase) -> list[Violation]:
     exists.
     """
     violations: list[Violation] = []
+    readable = True  # every antecedent is an expression the graph pass can walk
     for p in rb.propositions.values():
         if p.kind not in KINDS:
             violations.append(Violation("InvalidKind", f"proposition {p.id!r} has kind {p.kind!r}"))
@@ -332,7 +333,7 @@ def validate(rb: RuleBase) -> list[Violation]:
             violations.append(
                 Violation("InputAsConsequent", f"rule {r.id!r} concludes input proposition {r.consequent!r}")
             )
-        violations.extend(_check_expr(rb, r))
+        readable &= _check_expr(rb, r, violations)
         if not is_cf(r.weight):
             violations.append(
                 Violation("WeightOutOfRange", f"rule {r.id!r} weight {r.weight!r} outside [-1, +1]")
@@ -346,19 +347,22 @@ def validate(rb: RuleBase) -> list[Violation]:
             violations.append(
                 Violation("InvalidBoundKind", f"rule {r.id!r} bound_kind {r.bound_kind!r}")
             )
-    try:
-        rb.topological_order()
-    except CyclicDependency as e:
-        violations.append(Violation("CyclicDependency", str(e)))
+    if readable:
+        try:
+            rb.topological_order()
+        except CyclicDependency as e:
+            violations.append(Violation("CyclicDependency", str(e)))
     if not any(p.output_class for p in rb.propositions.values()):
         violations.append(Violation("NoOutputClass", "no output-class proposition declared"))
     return violations
 
 
-def _check_expr(rb: RuleBase, r: Rule) -> list[Violation]:
-    violations = []
+def _check_expr(rb: RuleBase, r: Rule, violations: list[Violation]) -> bool:
+    """Append the antecedent's violations; False if a node is no expression."""
+    readable = True
 
     def walk(e) -> None:
+        nonlocal readable
         t = type(e)
         if t is Ref:
             if e.prop not in rb.propositions:
@@ -373,10 +377,11 @@ def _check_expr(rb: RuleBase, r: Rule) -> list[Violation]:
             for m in e.members:
                 walk(m)
         else:
+            readable = False
             violations.append(Violation("EmptyExpr", f"rule {r.id!r} has a malformed antecedent node {e!r}"))
 
     walk(r.antecedent)
-    return violations
+    return readable
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@ accounting.
 
 The loop: evaluate the objective, estimate its gradient with finite
 differences, test projected stationarity, then backtrack along the
-projection arc until the Armijo condition holds, repeat.  Every weight is
-projected onto its interval: the hard bound, else [-1, +1], since weights
-outside [-1, +1] are not valid certainty factors and the objective is
-undefined there.
+projection arc until the Armijo condition holds, repeat.  One routine,
+``_Session.descend``, runs it from the session's current weights;
+``train_multi`` runs it once per start, each on its own copy of the rule
+base, and ``train`` is ``train_multi`` without the per-start traces.
+Every weight is projected onto its interval: the hard bound, else
+[-1, +1], since weights outside [-1, +1] are not valid certainty factors
+and the objective is undefined there.
 
 - Convergence (``tol_grad``) is tested on the projected gradient's infinity
   norm, which ``IterationRecord.grad_inf_norm`` records: a component counts
@@ -179,18 +182,9 @@ class TrainingTrace:
         return self.initial["objective"]
 
     def to_dict(self) -> dict:
-        doc = {
-            "config": self.config,
-            "status": self.status,
-            "boundary_stall": self.boundary_stall,
-            "initial": self.initial,
-            "iterations": [asdict(rec) for rec in self.iterations],
-            "final_weights": self.final_weights,
-            "budget": asdict(self.budget),
-            "holdout_size": self.holdout_size,
-        }
-        if self.starts is not None:
-            doc["starts"] = self.starts
+        doc = asdict(self)
+        if self.starts is None:
+            del doc["starts"]
         return doc
 
     @classmethod
@@ -229,7 +223,6 @@ def _record(cls, doc, where: str):
 
 def _config_dict(cfg: OptimizerConfig) -> dict:
     doc = asdict(cfg)
-    doc["penalty"] = asdict(cfg.penalty)
     if cfg.train_only is not None:
         doc["train_only"] = list(cfg.train_only)
     return doc
@@ -253,18 +246,16 @@ def _bb_step(
     """Barzilai-Borwein first trial step s.s / s.y with s = w - w_prev and
     y = g - g_prev, clipped to [BB_STEP_MIN, BB_STEP_MAX]; ``step_init``
     when s.y <= 0."""
-    s = [a - b for a, b in zip(w, w_prev)]
-    y = [a - b for a, b in zip(g, g_prev)]
-    sy = sum(a * b for a, b in zip(s, y))
+    # left folds from 0.0, not sum(): sum() of floats is compensated since
+    # CPython 3.12, and a fixed seed must give the same bits on every Python
+    ss = sy = 0.0
+    for wi, wp, gi, gp in zip(w, w_prev, g, g_prev):
+        si = wi - wp
+        ss += si * si
+        sy += si * (gi - gp)
     if not sy > 0.0:
         return step_init
-    return min(max(sum(a * a for a in s) / sy, BB_STEP_MIN), BB_STEP_MAX)
-
-
-def _is_trainable(rule: Rule, cfg: OptimizerConfig) -> bool:
-    if not rule.trainable:
-        return False
-    return cfg.train_only is None or rule.id in cfg.train_only
+    return min(max(ss / sy, BB_STEP_MIN), BB_STEP_MAX)
 
 
 class _Part:
@@ -305,7 +296,8 @@ class _Session:
         if cfg.train_only is not None:
             for rid in cfg.train_only:
                 rb.rule(rid)
-        self.trainable = [r for r in rb.rules if _is_trainable(r, cfg)]
+        only = cfg.train_only
+        self.trainable = [r for r in rb.rules if r.trainable and (only is None or r.id in only)]
         if not self.trainable:
             raise NoTrainableRules("no rule is trainable")
         self.train = _Part(objects)
@@ -416,6 +408,65 @@ class _Session:
                 on_bound += 1
         return on_bound >= 0.2 * len(self.trainable)
 
+    def descend(self) -> TrainingTrace:
+        """Projected steepest descent from the current weights until a
+        stopping rule holds; returns the run's trace.  The weights are left
+        at the last accepted iterate."""
+        cfg = self.cfg
+        f_cur, m_cur, p_cur = self.score(self.train)
+        initial = {"objective": f_cur, "metric": m_cur, "penalty": p_cur}
+        if self.holdout.objects:
+            initial["holdout_objective"] = self.score(self.holdout)[0]
+        records: list[IterationRecord] = []
+        status = "max_iters"
+        stall = 0
+        last = None  # (weights, gradient) where the last accepted step began
+        for it in range(1, cfg.max_iters + 1):
+            g = self.gradient(f_cur)
+            g_inf = self.projected_inf_norm(g)
+            if g_inf <= cfg.tol_grad:
+                status = "converged_gradient"
+                break
+            w = [r.weight for r in self.trainable]
+            step = cfg.step_init if last is None else _bb_step(w, g, *last, cfg.step_init)
+            ok, step, backtracks, f_new, m_new, p_new = self.line_search(f_cur, w, g, step)
+            if not ok:
+                status = "line_search_failed"
+                break
+            last = (w, g)
+            rel = (f_cur - f_new) / max(1.0, abs(f_cur))
+            f_cur, m_cur, p_cur = f_new, m_new, p_new
+            records.append(
+                IterationRecord(
+                    iteration=it,
+                    objective=f_cur,
+                    metric=m_cur,
+                    penalty=p_cur,
+                    step=step,
+                    grad_inf_norm=g_inf,
+                    backtracks=backtracks,
+                    holdout_objective=self.score(self.holdout)[0] if self.holdout.objects else None,
+                )
+            )
+            if rel < cfg.tol_objective:
+                stall += 1
+                if stall >= cfg.tol_objective_window:
+                    status = "converged_objective"
+                    break
+            else:
+                stall = 0
+        self.budget.firings += self.fired()
+        return TrainingTrace(
+            config=_config_dict(cfg),
+            status=status,
+            boundary_stall=self.boundary_stall(),
+            initial=initial,
+            iterations=records,
+            final_weights={r.id: r.weight for r in self.rb.rules},
+            budget=self.budget,
+            holdout_size=len(self.holdout.objects),
+        )
+
 
 def gradient(
     rb: RuleBase,
@@ -454,71 +505,15 @@ def train(
     cfg: OptimizerConfig | None = None,
     metric_fn: MetricFn = margin_metric,
 ) -> tuple[RuleBase, TrainingTrace]:
-    """Minimize the objective over the trainable weights.
+    """Minimize the objective over the trainable weights: train_multi()
+    without the per-start traces, so it runs ``multi_start`` starts.
 
     Returns a trained copy of the rule base (the input is never mutated)
-    and the run's trace.  The accepted-iterate objective sequence is
+    and the best start's trace.  The accepted-iterate objective sequence is
     non-increasing by construction; non-trainable weights come back bit
     identical.
     """
-    cfg = cfg or OptimizerConfig()
-    work = rb.copy()
-    train_objs, holdout_objs = _split_dataset(dataset, cfg)
-    sess = _Session(work, train_objs, cfg, metric_fn, holdout_objs)
-    f_cur, m_cur, p_cur = sess.score(sess.train)
-    initial = {"objective": f_cur, "metric": m_cur, "penalty": p_cur}
-    if holdout_objs:
-        initial["holdout_objective"] = sess.score(sess.holdout)[0]
-    records: list[IterationRecord] = []
-    status = "max_iters"
-    stall = 0
-    last = None  # (weights, gradient) where the last accepted step began
-    for it in range(1, cfg.max_iters + 1):
-        g = sess.gradient(f_cur)
-        g_inf = sess.projected_inf_norm(g)
-        if g_inf <= cfg.tol_grad:
-            status = "converged_gradient"
-            break
-        w = [r.weight for r in sess.trainable]
-        step = cfg.step_init if last is None else _bb_step(w, g, *last, cfg.step_init)
-        ok, step, backtracks, f_new, m_new, p_new = sess.line_search(f_cur, w, g, step)
-        if not ok:
-            status = "line_search_failed"
-            break
-        last = (w, g)
-        rel = (f_cur - f_new) / max(1.0, abs(f_cur))
-        f_cur, m_cur, p_cur = f_new, m_new, p_new
-        records.append(
-            IterationRecord(
-                iteration=it,
-                objective=f_cur,
-                metric=m_cur,
-                penalty=p_cur,
-                step=step,
-                grad_inf_norm=g_inf,
-                backtracks=backtracks,
-                holdout_objective=sess.score(sess.holdout)[0] if holdout_objs else None,
-            )
-        )
-        if rel < cfg.tol_objective:
-            stall += 1
-            if stall >= cfg.tol_objective_window:
-                status = "converged_objective"
-                break
-        else:
-            stall = 0
-    sess.budget.firings += sess.fired()
-    trace = TrainingTrace(
-        config=_config_dict(cfg),
-        status=status,
-        boundary_stall=sess.boundary_stall(),
-        initial=initial,
-        iterations=records,
-        final_weights={r.id: r.weight for r in work.rules},
-        budget=sess.budget,
-        holdout_size=len(holdout_objs),
-    )
-    return work, trace
+    return train_multi(rb, dataset, cfg, metric_fn)[:2]
 
 
 def train_multi(
@@ -527,27 +522,28 @@ def train_multi(
     cfg: OptimizerConfig | None = None,
     metric_fn: MetricFn = margin_metric,
 ) -> tuple[RuleBase, TrainingTrace, list[TrainingTrace]]:
-    """Run train() from several initializations and keep the best.
+    """Descend from ``multi_start`` initializations and keep the best.
 
-    Start 0 uses the declared weights; each later start adds a seeded
-    uniform perturbation in [-0.3, +0.3] to every trainable weight,
-    projected back onto its bounds.  The run with the lowest final
-    objective wins; ties go to the earliest start.
+    The dataset is split once, and each start descends on its own copy of
+    the rule base.  Start 0 uses the declared weights; each later start
+    adds a seeded uniform perturbation in [-0.3, +0.3] to every trainable
+    weight, projected back onto its bounds.  The run with the lowest final
+    objective wins and only its copy is kept; ties go to the earliest start.
     """
     cfg = cfg or OptimizerConfig()
+    train_objs, holdout_objs = _split_dataset(dataset, cfg)
     rng = random.Random(cfg.seed)
-    best: tuple[float, int, RuleBase, TrainingTrace] | None = None
     traces: list[TrainingTrace] = []
-    summaries: list[dict] = []
     for start in range(cfg.multi_start):
-        init_rb = rb.copy()
+        sess = _Session(rb.copy(), train_objs, cfg, metric_fn, holdout_objs)
         if start > 0:
-            for r in init_rb.rules:
-                if _is_trainable(r, cfg):
-                    r.weight = _project(r, r.weight + rng.uniform(-0.3, 0.3))
-        trained, trace = train(init_rb, dataset, cfg, metric_fn)
-        traces.append(trace)
-        summaries.append(
+            for r in sess.trainable:
+                r.weight = _project(r, r.weight + rng.uniform(-0.3, 0.3))
+        traces.append(sess.descend())
+        if start == 0 or traces[-1].final_objective < best.final_objective:
+            best_rb, best = sess.rb, traces[-1]
+    if cfg.multi_start > 1:
+        best.starts = [
             {
                 "start": start,
                 "initial_objective": trace.initial["objective"],
@@ -555,14 +551,9 @@ def train_multi(
                 "status": trace.status,
                 "iterations": len(trace.iterations),
             }
-        )
-        if best is None or trace.final_objective < best[0]:
-            best = (trace.final_objective, start, trained, trace)
-    assert best is not None
-    best_trace = best[3]
-    if cfg.multi_start > 1:
-        best_trace.starts = summaries
-    return best[2], best_trace, traces
+            for start, trace in enumerate(traces)
+        ]
+    return best_rb, best, traces
 
 
 def audit_budget(trace: TrainingTrace) -> str:

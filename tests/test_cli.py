@@ -323,6 +323,18 @@ class TestRobustness:
                  "--out", str(tmp_path / "run"))
         assert assert_one_error(capsys, rc) == f"error: unknown rule {unknown!r}"
 
+    @pytest.mark.parametrize(
+        "flags", [["--train-only", "nope"], ["--holdout", "0.999"]],
+        ids=["unknown-rule", "holdout-takes-all"],
+    )
+    def test_failed_train_leaves_no_out_dir(self, gen_dir, tmp_path, capsys, flags):
+        # both errors are raised when training starts, after the flags parse
+        rc = run("train", "--rules", str(gen_dir / "rules.json"),
+                 "--data", str(gen_dir / "train.jsonl"), *flags,
+                 "--out", str(tmp_path / "run"))
+        assert_one_error(capsys, rc)
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("value", ["5", "1e300"])
     def test_fd_eps_above_one(self, gen_dir, tmp_path, capsys, value):
         # a probe step above 1 would evaluate weights outside [-1, 1]

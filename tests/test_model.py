@@ -127,6 +127,17 @@ class TestValidate:
         codes = [v.code for v in validate(RuleBase(props, rules))]
         assert "EmptyExpr" in codes
 
+    def test_malformed_antecedent_reported_not_raised(self):
+        # the cycle check cannot walk a non-expression, so it is skipped
+        props = [
+            Proposition("f", INPUT),
+            Proposition("c", DERIVED, output_class=True),
+        ]
+        rules = [Rule("r1", "f", "c", 0.5)]
+        violations = validate(RuleBase(props, rules))
+        assert [v.code for v in violations] == ["EmptyExpr"]
+        assert "malformed antecedent node 'f'" in violations[0].detail
+
     def test_output_class_on_input(self):
         props = [
             Proposition("f", INPUT, output_class=True),

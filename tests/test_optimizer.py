@@ -422,6 +422,9 @@ class TestTrain:
         assert _bb_step([0.0], [1.0], [0.0], [0.0], 0.5) == 0.5
         assert _bb_step([1.0], [1e-9], [0.0], [0.0], 0.5) == BB_STEP_MAX
         assert _bb_step([1e-9], [1.0], [0.0], [0.0], 0.5) == BB_STEP_MIN
+        # s.s and s.y are left folds from 0.0: the 1e-16 terms vanish on every
+        # Python, where the compensated sum() of 3.12+ would keep them
+        assert _bb_step([1.0, 1e-16, 1e-16], [1.0] * 3, [0.0] * 3, [0.0] * 3, 0.5) == 1.0
 
     def test_interior_optimum_converges(self):
         rb, data = one_rule_problem(weight=0.0, fact=1.0,
@@ -568,14 +571,20 @@ class TestAudit:
 
 
 class TestMultiStart:
-    def test_single_start_identical_to_train(self):
+    @pytest.mark.parametrize("multi_start", [1, 3])
+    def test_train_is_train_multi_without_traces(self, multi_start):
+        # train honours multi_start: it runs every start and keeps the best
         rb, _, data, _ = generate(SynthSpec(features=5, classes=2, objects=10, seed=2))
-        cfg = OptimizerConfig(seed=2, max_iters=10, multi_start=1)
+        cfg = OptimizerConfig(seed=2, max_iters=10, multi_start=multi_start)
         t_single, tr_single = train(rb, data, cfg)
         t_multi, tr_multi, all_traces = train_multi(rb, data, cfg)
         assert tr_multi.to_dict() == tr_single.to_dict()
-        assert len(all_traces) == 1
-        assert all(a.weight == b.weight for a, b in zip(t_single.rules, t_multi.rules))
+        assert len(all_traces) == multi_start
+        if multi_start == 1:
+            assert tr_single.starts is None
+        else:
+            assert [s["start"] for s in tr_single.starts] == list(range(multi_start))
+        assert [r.weight.hex() for r in t_single.rules] == [r.weight.hex() for r in t_multi.rules]
 
     def test_three_starts_all_improve(self):
         rb, _, data, _ = generate(SynthSpec(features=6, classes=3, objects=18,
