@@ -13,8 +13,6 @@ from .algebra import (
     Not,
     Or,
     Ref,
-    clamp,
-    combine_all,
     combine_parallel,
     eval_expr,
     is_cf,
@@ -47,7 +45,6 @@ from .metric import (
     PenaltyConfig,
     accuracy,
     margin_metric,
-    objective,
     penalty,
 )
 from .model import (

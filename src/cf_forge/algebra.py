@@ -19,7 +19,7 @@ an antecedent that is a bare reference straight from its CF map and calls
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import UnboundProposition
 
@@ -30,15 +30,6 @@ CF_MAX = 1.0
 def is_cf(x: float) -> bool:
     """True when x is a valid certainty factor (rejects NaN and infinities)."""
     return CF_MIN <= x <= CF_MAX
-
-
-def clamp(x: float) -> float:
-    """Clamp to [-1, +1]; absorbs ulp drift from combination arithmetic."""
-    if x > CF_MAX:
-        return CF_MAX
-    if x < CF_MIN:
-        return CF_MIN
-    return x
 
 
 def combine_parallel(x: float, y: float) -> float:
@@ -52,7 +43,7 @@ def combine_parallel(x: float, y: float) -> float:
     because the sum formulas lose it to rounding (1 + y - y need not be 1
     in floating point); the conflicting branch absorbs exactly on its own.
 
-    The result is clamp() of the branch's formula, clamped inline.  For CFs
+    The result is the branch's formula clamped to [-1, +1].  For CFs
     in [-1, +1] the supporting sum is never below 0 and the opposing sum
     never above 0, even after rounding, so each of those branches tests
     only the bound it can cross.
@@ -76,14 +67,6 @@ def combine_parallel(x: float, y: float) -> float:
         return 0.0
     z = (x + y) / denom
     return 1.0 if z > 1.0 else -1.0 if z < -1.0 else z
-
-
-def combine_all(contributions: Sequence[float]) -> float:
-    """Left fold of combine_parallel starting from 0.0 (no evidence)."""
-    acc = 0.0
-    for c in contributions:
-        acc = combine_parallel(acc, c)
-    return acc
 
 
 @dataclass(frozen=True)

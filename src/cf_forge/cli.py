@@ -62,10 +62,11 @@ def _emit(doc, out: str | None) -> None:
 def cmd_gen(args) -> int:
     if not (0.0 <= args.holdout < 1.0):  # also rejects NaN
         raise ValueError(f"--holdout must be in [0, 1), got {args.holdout!r}")
+    # the directory is made only after generation, so an invalid spec leaves none
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.shape:
         rb, objects = generate_shaped(args.rules, args.shape, seed=args.seed)
+        out.mkdir(parents=True, exist_ok=True)
         save_rulebase(rb, out / "rules.json")
         save_dataset(objects, out / "train.jsonl")
         print(f"wrote {out / 'rules.json'} ({len(rb.rules)} rules) and {out / 'train.jsonl'}")
@@ -79,6 +80,7 @@ def cmd_gen(args) -> int:
         seed=args.seed,
     )
     rb_zero, rb_expert, objects, _ = generate(spec)
+    out.mkdir(parents=True, exist_ok=True)
     if args.holdout > 0.0:
         k = int(round(args.holdout * len(objects)))
         holdout, objects = objects[:k], objects[k:]
@@ -154,7 +156,6 @@ def cmd_train(args) -> int:
             rec.holdout_objective for rec in trace.iterations
         ] if trace.holdout_size else [],
         "budget": vars(trace.budget),
-        "boundary_stall": trace.boundary_stall,
         "iterations": len(trace.iterations),
         "wall_time_s": wall,
     }

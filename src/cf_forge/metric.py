@@ -99,18 +99,6 @@ def penalty(rb: RuleBase, cfg: PenaltyConfig) -> float:
     return cfg.coefficient * total
 
 
-def objective(
-    rb: RuleBase,
-    evaluations: Sequence[ObjectEvaluation],
-    labels: Mapping[str, str],
-    classes: Sequence[str],
-    cfg: PenaltyConfig,
-    metric_fn: MetricFn = margin_metric,
-) -> float:
-    """The quantity the optimizer minimizes: metric plus penalty."""
-    return metric_fn(evaluations, labels, classes).value + penalty(rb, cfg)
-
-
 def accuracy(
     evaluations: Sequence[ObjectEvaluation],
     labels: Mapping[str, str],

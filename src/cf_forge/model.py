@@ -187,11 +187,6 @@ class RuleBase:
         self._ensure_graph()
         return self._incoming.get(prop_id, ())
 
-    def dependents(self, rule_id: str) -> tuple[str, ...]:
-        """Rules whose antecedents read this rule's consequent."""
-        self._ensure_graph()
-        return self._dependents[rule_id]
-
     def topological_order(self) -> tuple[str, ...]:
         """Rule ids ordered so every rule follows all producers of the
         propositions its antecedent reads; ties broken by rule id."""

@@ -167,7 +167,6 @@ class IterationRecord:
 class TrainingTrace:
     config: dict
     status: str  # converged_objective | converged_gradient | max_iters | line_search_failed
-    boundary_stall: bool
     initial: dict
     iterations: list[IterationRecord]
     final_weights: dict[str, float]
@@ -196,7 +195,6 @@ class TrainingTrace:
         return cls(
             config=_take(doc, "config", "$", dict),
             status=_take(doc, "status", "$", str),
-            boundary_stall=_take(doc, "boundary_stall", "$", bool),
             initial=_take(doc, "initial", "$", dict),
             iterations=[
                 _record(IterationRecord, rec, f"iterations[{i}]")
@@ -400,14 +398,6 @@ class _Session:
                 return False, 0.0, backtracks, f_base, 0.0, 0.0
             step *= cfg.shrink
 
-    def boundary_stall(self) -> bool:
-        on_bound = 0
-        for r in self.trainable:
-            lo, hi = _projection_interval(r)
-            if r.weight == lo or r.weight == hi:
-                on_bound += 1
-        return on_bound >= 0.2 * len(self.trainable)
-
     def descend(self) -> TrainingTrace:
         """Projected steepest descent from the current weights until a
         stopping rule holds; returns the run's trace.  The weights are left
@@ -459,7 +449,6 @@ class _Session:
         return TrainingTrace(
             config=_config_dict(cfg),
             status=status,
-            boundary_stall=self.boundary_stall(),
             initial=initial,
             iterations=records,
             final_weights={r.id: r.weight for r in self.rb.rules},

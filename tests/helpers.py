@@ -3,12 +3,14 @@
 The random generator builds layered DAGs (inputs at level 0, derived
 propositions above, the top level marked as output classes) so depth is
 bounded by construction and cycles are impossible.  The oracles here stay
-deliberately dumb: reachability by scanning antecedents, full re-evaluation
-for incremental checks.
+deliberately dumb: reachability by scanning antecedents, the combining
+formula as its docstring states it, and an evaluator that shares no code
+with the engine or the rule base's cached graph.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from cf_forge import (
@@ -87,3 +89,81 @@ def brute_force_closure(rb: RuleBase, rule_id: str) -> frozenset[str]:
                 seen.add(r.id)
                 frontier.append(r.id)
     return frozenset(seen)
+
+
+def clamp(x: float) -> float:
+    """Clamp to [-1, +1]."""
+    if x > 1.0:
+        return 1.0
+    if x < -1.0:
+        return -1.0
+    return x
+
+
+def clamped_formula(x, y):
+    """combine_parallel as its docstring states it, every case clamped."""
+    if x >= 0.0 and y >= 0.0:
+        return 1.0 if 1.0 in (x, y) else clamp(x + y - x * y)
+    if x < 0.0 and y <= 0.0:
+        return -1.0 if -1.0 in (x, y) else clamp(x + y + x * y)
+    denom = 1.0 - min(abs(x), abs(y))
+    return 0.0 if denom == 0.0 else clamp((x + y) / denom)
+
+
+def _refs(expr) -> set[str]:
+    if isinstance(expr, Ref):
+        return {expr.prop}
+    if isinstance(expr, Not):
+        return _refs(expr.member)
+    return set().union(*(_refs(m) for m in expr.members))
+
+
+def _antecedent_cf(expr, env) -> float:
+    if isinstance(expr, Ref):
+        return env[expr.prop]
+    if isinstance(expr, Not):
+        return -_antecedent_cf(expr.member, env)
+    values = [_antecedent_cf(m, env) for m in expr.members]
+    return min(values) if isinstance(expr, And) else max(values)
+
+
+def reference_eval(rb: RuleBase, obj: TrainingObject, threshold: float) -> dict[str, float]:
+    """Every proposition's CF for one object, worked out from the base's
+    rules and propositions alone: its own topological sort (Kahn, ties broken by the smallest rule
+    id), its own min / max / negation over antecedents, and each consequent
+    refolded from 0.0 with ``clamped_formula`` over its contributions in
+    that order."""
+    by_id = {r.id: r for r in rb.rules}
+    producers: dict[str, list[str]] = {}
+    for r in rb.rules:
+        producers.setdefault(r.consequent, []).append(r.id)
+    readers: dict[str, list[str]] = {rid: [] for rid in by_id}
+    waiting = {}
+    for r in rb.rules:
+        before = {a for p in _refs(r.antecedent) for a in producers.get(p, ())}
+        waiting[r.id] = len(before)
+        for a in before:
+            readers[a].append(r.id)
+    ready = [rid for rid, n in waiting.items() if n == 0]
+    heapq.heapify(ready)
+    env = {
+        p.id: obj.facts.get(p.id, 0.0) if p.kind == INPUT else 0.0
+        for p in rb.propositions.values()
+    }
+    contributions: dict[str, list[float]] = {}
+    while ready:
+        rule = by_id[heapq.heappop(ready)]
+        a = _antecedent_cf(rule.antecedent, env)
+        if a > threshold:
+            terms = contributions.setdefault(rule.consequent, [])
+            terms.append(rule.weight * a)
+            cf = 0.0
+            for c in terms:
+                cf = clamped_formula(cf, c)
+            env[rule.consequent] = cf
+        for nxt in readers[rule.id]:
+            waiting[nxt] -= 1
+            if waiting[nxt] == 0:
+                heapq.heappush(ready, nxt)
+    assert not any(waiting.values()), "cyclic rule base"
+    return env

@@ -13,12 +13,12 @@ from cf_forge import (
     Or,
     Ref,
     UnboundProposition,
-    clamp,
-    combine_all,
     combine_parallel,
     eval_expr,
     is_cf,
 )
+from cf_forge.engine import _fold
+from helpers import clamped_formula
 
 cfs = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 # the conflicting-combination denominator 1 - min(|x|, |y|) amplifies
@@ -35,16 +35,6 @@ EDGES = (
     TINY, -TINY, MIN_NORMAL, -MIN_NORMAL, math.nextafter(MIN_NORMAL, 0.0),
     0.5, -0.5,
 )
-
-
-def clamped_formula(x, y):
-    """combine_parallel as its docstring states it, every case clamped."""
-    if x >= 0.0 and y >= 0.0:
-        return 1.0 if 1.0 in (x, y) else clamp(x + y - x * y)
-    if x < 0.0 and y <= 0.0:
-        return -1.0 if -1.0 in (x, y) else clamp(x + y + x * y)
-    denom = 1.0 - min(abs(x), abs(y))
-    return 0.0 if denom == 0.0 else clamp((x + y) / denom)
 
 
 class TestCombineParallel:
@@ -106,15 +96,24 @@ class TestCombineParallel:
 
 
 class TestCombineAll:
+    """Combining all of a proposition's contributions: the engine's fold
+    from 0.0 over a slot range, skipping rules that do not fire."""
+
+    @staticmethod
+    def fold(xs):
+        return _fold(xs, 0, len(xs))
+
     def test_empty_means_unknown(self):
-        assert combine_all([]) == 0.0
+        assert self.fold([]) == 0.0
+        assert self.fold([None, None]) == 0.0
 
     def test_single_passes_through(self):
-        assert combine_all([0.9]) == 0.9
+        assert self.fold([0.9]) == 0.9
+        assert self.fold([None, 0.9]) == 0.9
 
     def test_fold(self):
-        assert combine_all([0.4, 0.5]) == 0.4 + 0.5 - 0.4 * 0.5
-        assert combine_all([0.4, 0.5]) == pytest.approx(0.7, abs=1e-12)
+        assert self.fold([0.4, 0.5]) == 0.4 + 0.5 - 0.4 * 0.5
+        assert self.fold([0.4, 0.5]) == pytest.approx(0.7, abs=1e-12)
 
     def test_order_independent(self):
         rng = random.Random(11)
@@ -122,7 +121,7 @@ class TestCombineAll:
             xs = [rng.uniform(-0.99, 0.99) for _ in range(rng.randint(2, 6))]
             shuffled = xs[:]
             rng.shuffle(shuffled)
-            assert combine_all(shuffled) == pytest.approx(combine_all(xs), abs=1e-12)
+            assert self.fold(shuffled) == pytest.approx(self.fold(xs), abs=1e-12)
 
 
 class TestEvalExpr:

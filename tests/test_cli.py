@@ -274,6 +274,22 @@ class TestBenchAndAudit:
         assert audit["status"] == "pass"
         assert audit["probe_evals"] == audit["expected"]
 
+    def test_audit_reads_a_trace_that_still_holds_boundary_stall(self, gen_dir, tmp_path):
+        # the removed flag is no longer written, and a trace written before
+        # its removal still audits: from_dict ignores keys it does not read
+        out = tmp_path / "run"
+        run("train", "--rules", str(gen_dir / "rules.json"),
+            "--data", str(gen_dir / "train.jsonl"),
+            "--out", str(out), "--seed", "3", "--max-iters", "2")
+        doc = read_json(out / "trace.json")
+        assert "boundary_stall" not in doc
+        assert "boundary_stall" not in read_json(out / "report.json")
+        doc["boundary_stall"] = True
+        (out / "trace.json").write_text(json.dumps(doc))
+        assert run("audit", "--trace", str(out / "trace.json"),
+                   "--out", str(out / "audit.json")) == 0
+        assert read_json(out / "audit.json")["status"] == "pass"
+
 
 def nested_not_rulebase(depth):
     """A valid rule base whose first antecedent is ``depth`` nested NOTs,
@@ -343,6 +359,16 @@ class TestRobustness:
                  "--out", str(tmp_path / "run"))
         assert "fd_eps" in assert_one_error(capsys, rc)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--features", "1"], ["--shape", "tree", "--rules", "6"]],
+        ids=["one-feature", "tree-of-6"],
+    )
+    def test_invalid_gen_spec_leaves_no_out_dir(self, tmp_path, capsys, flags):
+        # both specs are rejected by the generator, after the flags parse
+        rc = run("gen", *flags, "--out", str(tmp_path / "gen"))
+        assert_one_error(capsys, rc)
+        assert not (tmp_path / "gen").exists()
 
     @pytest.mark.parametrize("value", ["inf", "nan", "1.0", "-0.5"])
     def test_gen_holdout_out_of_range(self, tmp_path, capsys, value):

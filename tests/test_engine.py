@@ -30,7 +30,7 @@ from cf_forge import (
 )
 from cf_forge.algebra import referenced_props
 from cf_forge.model import DERIVED, INPUT
-from helpers import random_object, random_rulebase
+from helpers import random_object, random_rulebase, reference_eval
 
 
 def single_rule_base(weight=0.8):
@@ -557,6 +557,26 @@ class TestFiringPlan:
         expected = reference_pass(rb, obj, threshold)
         assert bit_snapshot(state, rb) == hex_maps(*expected)
         assert state.counters.rules_fired == sum(len(b) for b in expected[1].values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        threshold=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+        ),
+    )
+    def test_full_pass_equals_the_independent_evaluator(self, seed, threshold):
+        # reference_eval shares no sort, antecedent or combining code with
+        # the plan, so a plan compiler bug cannot hide behind both sides
+        rng = random.Random(seed)
+        rb = random_rulebase(rng, max_rules=40)
+        obj = random_object(rng, rb)
+        state = evaluate_full(rb, obj, FiringPolicy(threshold=threshold))
+        expected = reference_eval(rb, obj, threshold)
+        assert {p: cf.hex() for p, cf in state.prop_cf.items()} == {
+            p: cf.hex() for p, cf in expected.items()
+        }
 
     @pytest.mark.parametrize("antecedent", [Ref("ghost"), And((Ref("f"), Ref("ghost")))])
     def test_unknown_reference_raises_unbound(self, antecedent):

@@ -1,4 +1,4 @@
-"""Metric, penalty, objective, and accuracy."""
+"""Metric, penalty, the objective as their sum, and accuracy."""
 
 import random
 
@@ -16,7 +16,6 @@ from cf_forge import (
     accuracy,
     evaluate_full,
     margin_metric,
-    objective,
     penalty,
 )
 from cf_forge.model import DERIVED, INPUT
@@ -136,23 +135,8 @@ class TestPenalty:
 
 
 class TestObjective:
-    def test_is_metric_plus_penalty(self):
-        rb = soft_rule_base(-0.2)
-        obj = TrainingObject(id="o", facts={"f": 0.5}, label="c")
-        st = evaluate_full(rb, obj)
-        labels = {"o": "c"}
-        cfg = PenaltyConfig(coefficient=10.0)
-        total = objective(rb, [st], labels, rb.output_classes, cfg)
-        m = margin_metric([st], labels, rb.output_classes).value
-        assert total == pytest.approx(m + penalty(rb, cfg), abs=1e-12)
-
-    def test_mu_zero_is_pure_metric(self):
-        rb = soft_rule_base(-0.2)
-        obj = TrainingObject(id="o", facts={"f": 0.5}, label="c")
-        st = evaluate_full(rb, obj)
-        labels = {"o": "c"}
-        total = objective(rb, [st], labels, rb.output_classes, PenaltyConfig(coefficient=0.0))
-        assert total == margin_metric([st], labels, rb.output_classes).value
+    """The training objective is metric plus penalty, as the optimizer's
+    session scores it."""
 
     def test_objective_continuous_in_weights(self):
         """Finite-difference continuity probe on a flat base: the objective
@@ -168,7 +152,7 @@ class TestObjective:
 
         def f():
             states = [evaluate_full(rb, o) for o in data]
-            return objective(rb, states, labels, rb.output_classes, cfg)
+            return margin_metric(states, labels, rb.output_classes).value + penalty(rb, cfg)
 
         direction = {r.id: rng.uniform(-1, 1) for r in rb.rules}
         base_val = f()
