@@ -59,7 +59,20 @@ def _emit(doc, out: str | None) -> None:
         print(json.dumps(doc, indent=2, allow_nan=False))
 
 
+# gen's flags for the flat generator and their defaults; they parse to None
+# when absent, so that --shape can reject them instead of ignoring them
+_FLAT_GEN_DEFAULTS = {
+    "features": 10, "classes": 5, "objects": 100, "irrelevant": 0, "noise": 0.0, "holdout": 0.0,
+}
+
+
 def cmd_gen(args) -> int:
+    given = [f"--{name}" for name in _FLAT_GEN_DEFAULTS if getattr(args, name) is not None]
+    if args.shape and given:
+        raise ValueError(f"{', '.join(given)} cannot be used with --shape")
+    for name, default in _FLAT_GEN_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if not (0.0 <= args.holdout < 1.0):  # also rejects NaN
         raise ValueError(f"--holdout must be in [0, 1), got {args.holdout!r}")
     # the directory is made only after generation, so an invalid spec leaves none
@@ -220,12 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     seed = _default_seed()
 
     p = sub.add_parser("gen", help="generate a synthetic rule base and dataset")
-    p.add_argument("--features", type=int, default=10)
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--objects", type=int, default=100)
-    p.add_argument("--irrelevant", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--holdout", type=float, default=0.0, help="fraction written to holdout.jsonl")
+    p.add_argument("--features", type=int)
+    p.add_argument("--classes", type=int)
+    p.add_argument("--objects", type=int)
+    p.add_argument("--irrelevant", type=int)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--holdout", type=float, help="fraction written to holdout.jsonl")
     p.add_argument("--shape", choices=["flat", "chain", "tree"], default=None,
                    help="generate a shaped single-object base instead")
     p.add_argument("--rules", type=int, default=7, help="rule count for --shape")

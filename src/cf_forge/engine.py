@@ -19,19 +19,34 @@ full pass used.  The first entry is the perturbed rule, which contributes
 the new weight times its antecedent CF; each later entry re-fires when its
 antecedent reads a proposition whose CF changed.  A re-fired rule reads its
 antecedent CF from the CF map as the full pass does, so a compound
-antecedent is evaluated again, and its consequent is refolded from 0.0 over
-its slot range, which replays exactly the fold sequence a full pass would
+antecedent is evaluated again, and its consequent is refolded over its slot
+range [lo, hi), which replays exactly the fold sequence a full pass would
 execute.  Propagation stops only where a proposition's CF is bitwise
 unchanged, so incremental results are bit-identical to a fresh full pass.
 
-Every perturb records the ``prop_cf`` and ``contributions`` entries it
-overwrites in an undo log on the state; each perturb starts a fresh log,
-and ``evaluate_full`` clears it.  ``restore_weight`` writes a matching log
-back in reverse, with no combine arithmetic and no firing, so the return to
-the pre-probe state is identical by construction.  A restore the log cannot
-serve (no pending log, another rule's log, or a weight whose contribution
-is not the one the log saved) re-fires the closure like a perturb.  A probe
-therefore costs one closure re-fire, not two.
+A state may opt in to prefix accumulators (``prefix``, an ``array('d')``):
+its full passes then record, before each slot k, the accumulator of slot
+k's consequent, the fold from 0.0 of slots [lo, k).  A re-fire then refolds
+only [start, hi) from ``prefix[start]``, where start is the lowest slot of
+a closure rule with that consequent (see ``RuleBase.closure_plan``): the
+slots before it are not in the closure, so the fold skipped would repeat
+the same combines on the same values.  The prefixes hold the last full
+pass's contributions, so a perturb that starts while a non-empty undo log
+is pending (a kept perturb, or a restore that re-fired) empties them, and
+re-fires fold from lo, from 0.0, until the next full pass refills them.
+``firing_states`` tells, for each of several rules, which of many states
+it fires in, so a caller can perturb only those: the others would not
+change.
+
+Every perturb records what it overwrites in an undo log on the state, one
+entry per re-fire: (slot, old contribution, consequent, old CF).  Each
+perturb starts a fresh log, and ``evaluate_full`` clears it.
+``restore_weight`` writes a matching log back in reverse, with no combine
+arithmetic and no firing, so the return to the pre-probe state is identical
+by construction.  A restore the log cannot serve (no pending log, another
+rule's log, or a weight whose contribution is not the one the log saved)
+re-fires the closure like a perturb.  A probe therefore costs one closure
+re-fire, not two.
 
 ``combine_parallel`` and ``eval_expr`` are looked up as module globals at
 every call, so a wrapper installed on this module sees every combine and
@@ -43,8 +58,10 @@ is single-owner mutable state.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import copysign
+from typing import Sequence
 
 from .algebra import combine_parallel, eval_expr
 from .errors import InconsistentState, NoOutputClasses
@@ -90,11 +107,15 @@ class ObjectEvaluation:
 
     undo is the last perturb's undo log, or None: the perturbed rule's id
     and antecedent CF, the contribution it overwrote (None when the rule
-    does not fire), and the (container, key, old value) of every entry the
-    perturb wrote, in write order.
+    does not fire), and one (slot, old contribution, consequent, old CF)
+    entry per re-fire, in re-fire order.
+
+    prefix is None (no prefix accumulators, the default) or an
+    ``array('d')``, which each full pass fills with the accumulator before
+    every slot; it is empty while stale (see the module docstring).
     """
 
-    __slots__ = ("object_id", "prop_cf", "contributions", "threshold", "counters", "undo")
+    __slots__ = ("object_id", "prop_cf", "contributions", "threshold", "counters", "undo", "prefix")
 
     def __init__(self, object_id: str):
         self.object_id = object_id
@@ -103,6 +124,7 @@ class ObjectEvaluation:
         self.threshold = DEFAULT_POLICY.threshold
         self.counters = EvalCounters()
         self.undo: tuple[str, float, float | None, list] | None = None
+        self.prefix: array | None = None
 
 
 def evaluate_full(
@@ -118,8 +140,9 @@ def evaluate_full(
     proposition folds from 0.0 and is bound, so on an unchecked base a rule
     concluding an input overrides its fact, and an undeclared consequent
     reads as 0 while no rule fires into it.  Pass ``into`` to reuse a state
-    object: its CFs, contributions and threshold are replaced, and its
-    counters keep accumulating.
+    object: its CFs, contributions and threshold are replaced, its prefix
+    accumulators (if it keeps them) are refilled, and its counters keep
+    accumulating.
     """
     if into is None:
         state = ObjectEvaluation(obj.id)
@@ -135,11 +158,15 @@ def evaluate_full(
     for p in plan.inputs:
         env[p] = facts.get(p, 0.0)
     contribs: list[float | None] = []
+    pre = None if state.prefix is None else array("d")
+    record = None if pre is None else pre.append
     threshold = policy.threshold
     fired = 0
     for prop_id, entries in plan.steps:
         acc = 0.0
         for rule, leaf in entries:
+            if record is not None:  # the accumulator before this slot
+                record(acc)
             a = env[leaf] if type(leaf) is str else eval_expr(leaf, env)
             if a > threshold:
                 c = rule.weight * a
@@ -151,19 +178,63 @@ def evaluate_full(
         env[prop_id] = acc
     state.prop_cf = env
     state.contributions = contribs
+    state.prefix = pre
     state.threshold = threshold
     state.undo = None
     state.counters.rules_fired += fired
     return state
 
 
-def _fold(contrib: list[float | None], lo: int, hi: int) -> float:
-    """Fold the contributions in slots [lo, hi), from 0.0, in slot order."""
-    acc = 0.0
+def _fold(contrib: list[float | None], lo: int, hi: int, acc: float = 0.0) -> float:
+    """Fold the contributions in slots [lo, hi) onto ``acc``, in slot order."""
     for c in contrib[lo:hi]:
         if c is not None:
             acc = combine_parallel(acc, c)
     return acc
+
+
+def _slots_disagree(state: ObjectEvaluation, n_rules: int) -> InconsistentState:
+    return InconsistentState(
+        f"state of object {state.object_id!r} holds {len(state.contributions)} rule slots, "
+        f"the base has {n_rules} rules"
+    )
+
+
+def _firing_disagrees(rule_id: str) -> InconsistentState:
+    return InconsistentState(f"rule {rule_id!r} firing status disagrees with stored contributions")
+
+
+def firing_states(
+    states: Sequence[ObjectEvaluation], rb: RuleBase, rule_ids: Sequence[str]
+) -> list[Sequence[int]]:
+    """For each rule id, the positions, in order, of the states in which
+    the rule fires: the only ones a perturb of its weight changes; a rule
+    that fires in every state gets one shared ``range``.  Every state gets
+    the checks perturb_weight makes, for every rule, so an inconsistent
+    state raises InconsistentState whether the rule fires in it or not."""
+    refires = rb.firing_plan().refires
+    n_rules = len(rb.rules)
+    for state in states:
+        if len(state.contributions) != n_rules:
+            raise _slots_disagree(state, n_rules)
+    every = range(len(states))
+    out: list[Sequence[int]] = []
+    for rule_id in rule_ids:
+        entry = refires.get(rule_id)
+        if entry is None:
+            rb.rule(rule_id)  # raises UnknownRule
+        _, leaf, _, _, slot, _, _, _ = entry
+        positions = []
+        for i, state in enumerate(states):
+            prop_cf = state.prop_cf
+            a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
+            firing = a > state.threshold
+            if firing != (state.contributions[slot] is not None):
+                raise _firing_disagrees(rule_id)
+            if firing:
+                positions.append(i)
+        out.append(every if len(positions) == len(states) else positions)
+    return out
 
 
 def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weight: float) -> int:
@@ -173,8 +244,9 @@ def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weig
     state's full pass: the rule itself re-fires with ``new_weight`` (unless
     it does not fire, when nothing changes), and each later rule re-fires
     when its antecedent reads a proposition whose CF changed; every re-fire
-    refolds its consequent and writes its contribution and CF.  The state
-    is updated in place, and every entry overwritten is recorded in a fresh
+    refolds its consequent (from its prefix accumulator while the state
+    holds valid ones) and writes its contribution and CF.  The state is
+    updated in place, and every entry overwritten is recorded in a fresh
     undo log (see restore_weight).  Returns the number of rules re-fired
     (at most the size of the downstream closure).  The rule base itself is
     not consulted for the perturbed rule's weight, so probing never
@@ -183,27 +255,26 @@ def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weig
     plan = rb.closure_plan(rule_id)
     contrib = state.contributions
     if len(contrib) != len(rb.rules):
-        raise InconsistentState(
-            f"state of object {state.object_id!r} holds {len(contrib)} rule slots, "
-            f"the base has {len(rb.rules)} rules"
-        )
+        raise _slots_disagree(state, len(rb.rules))
     prop_cf = state.prop_cf
-    _, leaf, _, _, slot, _, _ = plan[0]
+    _, leaf, _, _, slot, _, _, _ = plan[0]
     a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
     saved = contrib[slot]
     threshold = state.threshold
     firing = a > threshold
     if firing != (saved is not None):
-        raise InconsistentState(
-            f"rule {rule_id!r} firing status disagrees with stored contributions"
-        )
+        raise _firing_disagrees(rule_id)
+    pre = state.prefix
+    undo = state.undo
+    if pre and undo is not None and undo[3]:
+        del pre[:]  # the pending log's writes are still in the state
     log: list = []
     state.undo = (rule_id, a, saved, log)
     if not firing:
         return 0  # weight is irrelevant while the rule does not fire
     fired = 0
     changed: set[str] = set()
-    for r, leaf, cons, refs, s, lo, hi in plan:
+    for r, leaf, cons, refs, s, lo, hi, start in plan:
         if not fired:  # the perturbed rule, firing as checked above
             c = new_weight * a
         elif changed.isdisjoint(refs):
@@ -213,10 +284,9 @@ def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weig
             c = r.weight * a if a > threshold else None
         fired += 1
         old = prop_cf[cons]
-        log.append((contrib, s, contrib[s]))
-        log.append((prop_cf, cons, old))
+        log.append((s, contrib[s], cons, old))
         contrib[s] = c
-        new = _fold(contrib, lo, hi)
+        new = _fold(contrib, start, hi, pre[start]) if pre else _fold(contrib, lo, hi)
         prop_cf[cons] = new
         if new != old:
             changed.add(cons)
@@ -237,12 +307,16 @@ def restore_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, old_weig
     exactly as perturb_weight(old_weight) would.  Either way the state ends
     bit-identical to a fresh full pass at ``old_weight``.
     """
-    if state.undo is not None and state.undo[0] == rule_id:
-        _, a, saved, log = state.undo
+    undo = state.undo
+    if undo is not None and undo[0] == rule_id:
+        _, a, saved, log = undo
         if saved is None or _same_bits(old_weight * a, saved):
             state.undo = None
-            for container, key, old in reversed(log):
-                container[key] = old
+            contrib = state.contributions
+            prop_cf = state.prop_cf
+            for s, c, cons, cf in reversed(log):
+                contrib[s] = c
+                prop_cf[cons] = cf
             return 0
     return perturb_weight(state, rb, rule_id, old_weight)
 

@@ -9,9 +9,16 @@ fully confirmed (+1) and every other class fully denied (-1).  Correctness
 alone is not enough; sharpness of the classification lowers it further.
 
 Any callable mapping (evaluations, labels, classes) to a MetricValue can
-replace it; the trainer treats the metric as a plug-in.  ``accuracy`` is a
-discrete diagnostic for reporting only; it is not continuous and must not
-be used as a training objective.
+replace it; the trainer treats the metric as a plug-in and gives it one
+whole-metric call per gradient probe.  Only for ``margin_metric`` does a
+probe re-score just the objects the probed rule fires on and refold the
+stored per-object terms: each of its terms depends only on its own
+object's evaluation, and its value is the left fold from 0.0 of the terms
+in object order, so the refold gives the very value a whole-metric call
+would.  A plug-in's terms promise neither (a mean's terms depend on the
+object count), so they are not used that way.  ``accuracy`` is a discrete
+diagnostic for reporting only; it is not continuous and must not be used
+as a training objective.
 """
 
 from __future__ import annotations
@@ -59,7 +66,11 @@ def margin_metric(
 ) -> MetricValue:
     """Sum of squared shifted margins, objects in given order, classes in
     sorted order (the summation order is part of the contract so results
-    are bit-reproducible)."""
+    are bit-reproducible).  With ``per_object`` the result carries each
+    object's term, which depends only on that object's evaluation, and
+    value is the left fold from 0.0 of the terms (``v = 0.0; for t in
+    terms: v += t``), bit for bit; the trainer relies on both to re-score
+    only the objects a probe changes."""
     class_order = sorted(classes)
     class_set = set(class_order)
     terms: list[float] | None = [] if per_object else None

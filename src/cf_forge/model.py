@@ -97,16 +97,18 @@ class FiringPlan:
     entries are laid end to end, so each produced proposition owns the
     contiguous slot range [lo, hi) of its incoming rules.  ``refires`` maps
     each rule id to the entry a probe re-fires it from: (rule, leaf,
-    consequent, antecedent refs, slot, lo, hi), with lo and hi the
-    consequent's range.  A leaf is the proposition id when the antecedent
-    is a bare Ref to a declared proposition, else the antecedent Expr.
-    Rules are held by reference, so weights stay live.
+    consequent, antecedent refs, slot, lo, hi, start), with lo and hi the
+    consequent's range and start the slot a probe's refold of the
+    consequent begins at, here the rule's own slot (see
+    ``RuleBase.closure_plan``).  A leaf is the proposition id when the
+    antecedent is a bare Ref to a declared proposition, else the
+    antecedent Expr.  Rules are held by reference, so weights stay live.
     """
 
     initial: dict[str, float]
     inputs: tuple[str, ...]
     steps: tuple[tuple[str, tuple[tuple[Rule, str | Expr], ...]], ...]
-    refires: dict[str, tuple[Rule, str | Expr, str, frozenset[str], int, int, int]]
+    refires: dict[str, tuple[Rule, str | Expr, str, frozenset[str], int, int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,7 @@ class RuleBase:
                 e = r.antecedent
                 leaf = e.prop if type(e) is Ref and e.prop in props else e
                 entries.append((r, leaf))
-                refires[rid] = (r, leaf, p, self._refs[rid], slot, lo, hi)
+                refires[rid] = (r, leaf, p, self._refs[rid], slot, lo, hi, slot)
             steps.append((p, tuple(entries)))
             lo = hi
         self._plan = FiringPlan(
@@ -242,11 +244,19 @@ class RuleBase:
         return self._plan
 
     def closure_plan(self, rule_id: str) -> tuple:
-        """The firing plan's re-fire entries of closure_order(rule_id)."""
+        """The firing plan's re-fire entries of closure_order(rule_id), with
+        start lowered to the lowest slot of a closure rule with the entry's
+        consequent: a probe refolds the consequent from there, since the
+        closure can change no slot below it."""
         cached = self._closure_plans.get(rule_id)
         if cached is None:
             refires = self.firing_plan().refires
-            cached = tuple(refires[rid] for rid in self.closure_order(rule_id))
+            entries = [refires[rid] for rid in self.closure_order(rule_id)]
+            start: dict[str, int] = {}
+            for _, _, cons, _, slot, _, _, _ in entries:
+                start[cons] = min(start.get(cons, slot), slot)
+            # entries keep sharing the plan's tuples where start is unchanged
+            cached = tuple(e if e[7] == start[e[2]] else e[:7] + (start[e[2]],) for e in entries)
             self._closure_plans[rule_id] = cached
         return cached
 

@@ -36,16 +36,27 @@ difference toward the inside of [-1, 1].
 
 Gradient probes displace one weight at a time, so with incremental
 re-evaluation enabled (``use_tms``) each probe re-fires only the perturbed
-rule's downstream closure per object, once: the restore replays the
-engine's undo log and fires nothing.  The penalty is scanned once per
+rule's downstream closure, once, and only on the objects the rule fires on
+(``engine.firing_states``): elsewhere its weight changes nothing.  (With
+a single training object the scan is skipped and every probe perturbs it.)
+The restore replays the engine's undo log and fires nothing.  The training
+states keep prefix accumulators, so each re-fire refolds only the part of
+its consequent's fan-in that the closure can change.  When the metric is
+``margin_metric``, its per-object terms are taken once per gradient; a
+probe re-scores only the objects it changed and left-folds the terms,
+those replaced, from 0.0 in object order, which is the sum margin_metric
+itself makes.  Any other plug-in, or a probe that changes every object,
+gets one whole-metric call: a plug-in's terms need not be per-object (a
+mean is not), so re-scoring a subset of objects could change them.  The
+penalty is scanned once per
 gradient, and a probe of a rule that is not soft-bounded reuses that scan:
 such a rule adds no penalty term at any weight.  Only a soft-bounded probe
-rescans the rules.  A probe thus costs O(closure) firings, each refolding
-its consequent's fan-in, instead of a full pass.  The engine is exact and
-the reused penalty is the very value a rescan would give, which makes the
-incremental gradient equal the full-evaluation gradient bit for bit: the
-speedup is never a semantics change.  Line-search candidates move every
-trainable weight at once, so those are full passes and are accounted
+rescans the rules.  A probe thus costs O(closure) firings on the objects
+it changes, instead of a full pass.  The engine is exact, and the reused
+penalty and refolded terms are the very values a rescan would give, which
+makes the incremental gradient equal the full-evaluation gradient bit for
+bit: the speedup is never a semantics change.  Line-search candidates move
+every trainable weight at once, so those are full passes and are accounted
 separately.
 
 Every full pass goes through one scoring routine, ``_Session.score``, which
@@ -57,8 +68,9 @@ states hold the last probe until the next score, and nothing reads them in
 between.  A failed search restores only the weights: training stops there
 and never reads the states again.
 
-Accounting: ``probe_evals`` counts one per (rule, object) probe (two per
-pair for non-degenerate central differences), in both modes, so a
+Accounting: ``probe_evals`` counts one per (rule, object) probe, whether
+the rule fires on the object or not (two per pair for non-degenerate
+central differences), in both modes, so a
 forward-difference run ends with
 ``probe_evals == gradients x objects x trainable_rules`` exactly;
 ``audit_budget`` checks that identity.  Line-search evaluations are counted
@@ -72,10 +84,21 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import asdict, dataclass, field, fields
+from functools import reduce
+from operator import add
 from typing import Sequence
 
-from .engine import FiringPolicy, ObjectEvaluation, evaluate_full, perturb_weight, restore_weight
+from . import metric
+from .engine import (
+    FiringPolicy,
+    ObjectEvaluation,
+    evaluate_full,
+    firing_states,
+    perturb_weight,
+    restore_weight,
+)
 from .errors import EmptyDataset, NoTrainableRules, ParseError
 from .metric import MetricFn, PenaltyConfig, margin_metric, penalty
 from .model import HARD, SOFT, Rule, RuleBase, TrainingObject, _take
@@ -300,6 +323,12 @@ class _Session:
             raise NoTrainableRules("no rule is trainable")
         self.train = _Part(objects)
         self.holdout = _Part(holdout)
+        if cfg.use_tms:  # the training states are the ones probes perturb
+            for st in self.train.states:
+                st.prefix = array("d")
+        # looked up on the module, so a wrapper installed there (as the
+        # profiler's is) and passed in keeps the per-object path
+        self.metric_has_terms = metric_fn is metric.margin_metric
         self.budget = budget if budget is not None else EvaluationBudget()
         self.budget.objects = len(self.train.objects)
         self.budget.trainable_rules = len(self.trainable)
@@ -318,22 +347,52 @@ class _Session:
         parts = (self.train, self.holdout)
         return sum(st.counters.rules_fired for part in parts for st in part.states)
 
-    def _probe_objective(self, rule: Rule, w_probe: float, base_pen: float) -> float:
+    def terms(self) -> list[float] | None:
+        """margin_metric's per-object terms over the training states as
+        they stand, or None when the metric is another plug-in."""
+        if not self.metric_has_terms:
+            return None
+        part = self.train
+        return self.metric_fn(part.states, part.labels, self.classes, per_object=True).per_object
+
+    def _probe_objective(
+        self,
+        rule: Rule,
+        w_probe: float,
+        base_pen: float,
+        terms: list[float] | None,
+        firing: Sequence[int] | None,
+    ) -> float:
         """Objective with one weight displaced, everything else fixed;
-        ``base_pen`` is the penalty of the undisplaced base."""
+        ``base_pen`` is the penalty of the undisplaced base, ``terms`` its
+        per-object metric terms (see terms()) and ``firing`` the positions
+        of the training states the rule fires in (None for every state)."""
         old = rule.weight
         rule.weight = w_probe
         try:
             if self.cfg.use_tms:
-                states = self.train.states
-                for st in states:
+                part = self.train
+                states = part.states
+                if firing is None or len(firing) == len(states):
+                    changed = states
+                else:
+                    changed = [states[i] for i in firing]
+                for st in changed:
                     perturb_weight(st, self.rb, rule.id, w_probe)
-                value = self.metric_fn(states, self.train.labels, self.classes).value
+                if terms is None or changed is states:
+                    value = self.metric_fn(states, part.labels, self.classes).value
+                else:  # re-score only the changed objects, then refold every term
+                    probed = terms.copy()
+                    if changed:
+                        mv = self.metric_fn(changed, part.labels, self.classes, per_object=True)
+                        for i, term in zip(firing, mv.per_object):
+                            probed[i] = term
+                    value = reduce(add, probed, 0.0)
                 if rule.bound_kind == SOFT:
                     value += penalty(self.rb, self.cfg.penalty)
                 else:  # the rule adds no penalty term at any weight
                     value += base_pen
-                for st in states:
+                for st in changed:
                     restore_weight(st, self.rb, rule.id, old)
             else:
                 value = self.score(self.train)[0]
@@ -349,16 +408,24 @@ class _Session:
         cfg = self.cfg
         h = cfg.fd_eps
         base_pen = penalty(self.rb, cfg.penalty)
+        terms, firing = None, [None] * len(self.trainable)
+        # every probe restores its states, so both hold for all of them; a
+        # single state is perturbed by every probe, since the scan would
+        # filter nothing perturb_weight does not already check
+        if cfg.use_tms and len(self.train.states) > 1:
+            terms = self.terms()
+            firing = firing_states(self.train.states, self.rb, [r.id for r in self.trainable])
         g: list[float] = []
-        for rule in self.trainable:
+        for rule, fires in zip(self.trainable, firing):
             w = rule.weight
             if cfg.fd_scheme == "central" and w + h <= 1.0 and w - h >= -1.0:
-                f_hi = self._probe_objective(rule, w + h, base_pen)
-                f_lo = self._probe_objective(rule, w - h, base_pen)
+                f_hi = self._probe_objective(rule, w + h, base_pen, terms, fires)
+                f_lo = self._probe_objective(rule, w - h, base_pen, terms, fires)
                 g.append((f_hi - f_lo) / (2.0 * h))
             else:
                 e = h if w + h <= 1.0 else -h
-                g.append((self._probe_objective(rule, w + e, base_pen) - base_objective) / e)
+                f = self._probe_objective(rule, w + e, base_pen, terms, fires)
+                g.append((f - base_objective) / e)
         self.budget.gradients += 1
         return g
 

@@ -370,6 +370,19 @@ class TestRobustness:
         assert_one_error(capsys, rc)
         assert not (tmp_path / "gen").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--features", "10"), ("--classes", "5"), ("--objects", "100"),
+         ("--irrelevant", "0"), ("--noise", "0.0"), ("--holdout", "0.5")],
+    )
+    def test_gen_shape_rejects_the_flat_generator_flags(self, tmp_path, capsys, flag, value):
+        # the shaped generator reads none of them, so even a default value
+        # would be ignored without a word
+        rc = run("gen", "--shape", "tree", "--rules", "7", flag, value,
+                 "--out", str(tmp_path / "gen"))
+        assert flag in assert_one_error(capsys, rc)
+        assert not (tmp_path / "gen").exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan", "1.0", "-0.5"])
     def test_gen_holdout_out_of_range(self, tmp_path, capsys, value):
         rc = run("gen", "--features", "4", "--classes", "2", "--objects", "10",

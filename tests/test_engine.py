@@ -5,6 +5,7 @@ the perturbed weight.
 """
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +56,15 @@ def chain3_base():
         Rule(id="r3", antecedent=Ref("p2"), consequent="c", weight=0.7),
     ]
     return RuleBase(props, rules)
+
+
+def evaluate(rb, obj, policy=engine.DEFAULT_POLICY, prefix=False):
+    """A full pass into a fresh state; with ``prefix`` the state keeps
+    prefix accumulators, as a training session's states do."""
+    state = engine.ObjectEvaluation(obj.id)
+    if prefix:
+        state.prefix = array("d")
+    return evaluate_full(rb, obj, policy, into=state)
 
 
 def full_oracle(rb, obj, rule_id, new_weight, policy=engine.DEFAULT_POLICY):
@@ -203,15 +213,17 @@ class TestPerturb:
         for _ in range(25):
             rb = random_rulebase(rng, max_rules=50)
             obj = random_object(rng, rb)
-            st = evaluate_full(rb, obj)
+            states = [evaluate(rb, obj, prefix=prefix) for prefix in (False, True)]
             for _ in range(10):
                 rule = rng.choice(rb.rules)
                 w_new = rng.uniform(-1, 1)
-                perturb_weight(st, rb, rule.id, w_new)
+                for state in states:
+                    perturb_weight(state, rb, rule.id, w_new)
                 rule.weight = w_new  # persist so the sequence compounds
                 oracle = evaluate_full(rb, obj)
-                for p in st.prop_cf:
-                    assert st.prop_cf[p] == pytest.approx(oracle.prop_cf[p], abs=1e-12)
+                for state in states:
+                    for p in state.prop_cf:
+                        assert state.prop_cf[p] == pytest.approx(oracle.prop_cf[p], abs=1e-12)
 
     def test_fired_bounded_by_closure_with_equality_when_all_propagate(self):
         from cf_forge import generate_shaped
@@ -293,6 +305,21 @@ class TestPerturb:
         with pytest.raises(InconsistentState):
             perturb_weight(st, rb, "r1", 0.2)
 
+    def test_firing_states_checks_every_state(self):
+        rb = single_rule_base()
+        facts = [0.5, -0.4, 0.0, 0.9]
+        states = [
+            evaluate_full(rb, TrainingObject(id=f"o{i}", facts={"f": f}, label="c"))
+            for i, f in enumerate(facts)
+        ]
+        assert engine.firing_states(states, rb, ["r1"]) == [[0, 3]]
+        assert list(engine.firing_states(states[::3], rb, ["r1"])[0]) == [0, 1]
+        states[1].contributions[0] = 0.1  # silent, yet a contribution is stored
+        with pytest.raises(InconsistentState):
+            engine.firing_states(states, rb, ["r1"])
+        with pytest.raises(InconsistentState):  # never evaluated
+            engine.firing_states([engine.ObjectEvaluation("o")], rb, ["r1"])
+
     def test_refold_check(self):
         rb = chain3_base()
         obj = TrainingObject(id="o", facts={"f": 0.6}, label="c")
@@ -307,7 +334,7 @@ def snapshot(state, rb):
     and rule id, read through the firing plan's slots."""
     assert len(state.contributions) == len(rb.rules)
     buckets = {}
-    for rid, (_, _, cons, _, slot, _, _) in rb.firing_plan().refires.items():
+    for rid, (_, _, cons, _, slot, _, _, _) in rb.firing_plan().refires.items():
         bucket = buckets.setdefault(cons, {})
         if state.contributions[slot] is not None:
             bucket[rid] = state.contributions[slot]
@@ -341,22 +368,25 @@ class TestExactness:
         rb = random_rulebase(rng, max_rules=40)
         obj = random_object(rng, rb)
         policy = FiringPolicy(threshold=threshold)
-        state = evaluate_full(rb, obj, policy)
+        # the same steps on a plain state and on one with prefix accumulators
+        states = [evaluate(rb, obj, policy, prefix) for prefix in (False, True)]
         for pick, w, nudge, keep in steps:
             rule = rb.rules[pick % len(rb.rules)]
             # nudges move propositions by less than 1e-15, where an
             # inexact propagation stop would leave stale CFs downstream
             w_new = min(max(rule.weight + w * 1e-14, -1.0), 1.0) if nudge else w
-            before = snapshot(state, rb)
-            perturb_weight(state, rb, rule.id, w_new)
-            oracle = full_oracle(rb, obj, rule.id, w_new, policy)
-            assert snapshot(state, rb) == snapshot(oracle, rb)
+            oracle = snapshot(full_oracle(rb, obj, rule.id, w_new, policy), rb)
+            for state in states:
+                before = snapshot(state, rb)
+                perturb_weight(state, rb, rule.id, w_new)
+                assert snapshot(state, rb) == oracle
+                if not keep:
+                    restore_weight(state, rb, rule.id, rule.weight)
+                    assert snapshot(state, rb) == before
             if keep:
                 rule.weight = w_new
-            else:
-                restore_weight(state, rb, rule.id, rule.weight)
-                assert snapshot(state, rb) == before
-        assert snapshot(state, rb) == snapshot(evaluate_full(rb, obj, policy), rb)
+        for state in states:
+            assert snapshot(state, rb) == snapshot(evaluate_full(rb, obj, policy), rb)
 
     def test_perturb_keeps_the_threshold_of_the_full_pass(self):
         # under 0.5 only r1 fires; read under 0.0, r2 and r4 would fire too
@@ -599,11 +629,14 @@ class TestFiringPlan:
             plan = rb.closure_plan(r.id)
             assert tuple(rule.id for rule, *_ in plan) == order
             slots = [rule.id for _, entries in rb.firing_plan().steps for rule, _ in entries]
-            for rule, _, consequent, refs, slot, lo, hi in plan:
+            for rule, _, consequent, refs, slot, lo, hi, start in plan:
                 assert consequent == rule.consequent
                 assert refs == referenced_props(rule.antecedent)
                 assert slots[slot] == rule.id
                 assert tuple(slots[lo:hi]) == rb.incoming_rules(consequent)
+                # a probe refolds the consequent from its lowest closure slot
+                assert lo <= start <= slot
+                assert start == min(s for rr, *_, s, _, _, _ in plan if rr.consequent == consequent)
 
 
 class TestCounters:
@@ -643,6 +676,25 @@ class TestCounters:
             assert calls[0] == 3  # one refold of a one-rule fan-in per re-fire
             assert restore_weight(state, rb, "r1", 0.9) == 0
             assert calls[0] == 3
+
+    def test_a_prefixed_refold_starts_at_the_perturbed_slot(self):
+        # three rules into c: without prefixes a refold of the last one
+        # combines all three contributions, with them only its own
+        props = [Proposition(f"f{i}", INPUT) for i in range(3)]
+        props.append(Proposition("c", DERIVED, output_class=True))
+        rules = [
+            Rule(id=f"r{i}", antecedent=Ref(f"f{i}"), consequent="c", weight=0.5)
+            for i in range(3)
+        ]
+        rb = RuleBase(props, rules)
+        obj = TrainingObject(id="o", facts={"f0": 0.5, "f1": 0.4, "f2": 0.3}, label="c")
+        for prefix, combines in ((False, 3), (True, 1)):
+            state = evaluate(rb, obj, prefix=prefix)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = count_calls(mp, "combine_parallel")
+                perturb_weight(state, rb, "r2", 0.2)
+            assert calls[0] == combines
+            assert bit_snapshot(state, rb) == bit_snapshot(full_oracle(rb, obj, "r2", 0.2), rb)
 
 
 class TestClassify:

@@ -204,6 +204,83 @@ class TestGradient:
             k: v.hex() for k, v in grads[1].items()
         }
 
+    @staticmethod
+    def partly_silent_problem():
+        """A flat base whose every rule fires on some objects and is silent
+        on others, so margin_metric's probes re-score a strict subset."""
+        rng = random.Random(41)
+        rb, _, data, _ = generate(SynthSpec(features=6, classes=3, objects=12,
+                                            irrelevant_features=2, noise=0.3, seed=6))
+        for r in rb.rules:
+            r.weight = rng.uniform(-0.9, 0.9)
+        states = [evaluate_full(rb, o) for o in data]
+        for slot in range(len(rb.rules)):
+            assert 0 < sum(s.contributions[slot] is not None for s in states) < len(data)
+        return rb, data, states
+
+    @pytest.mark.parametrize("scheme", ["forward", "central"])
+    def test_plug_ins_without_terms_give_the_same_gradient(self, scheme, monkeypatch):
+        # margin_metric's probes re-score only the objects a rule fires on;
+        # neither of the last two plug-ins is margin_metric, so each of
+        # their probes re-scores every object with one whole-metric call
+        import cf_forge.metric as metric
+
+        sizes = []
+
+        def recording(evaluations, labels, classes, per_object=False):
+            sizes.append(len(evaluations))
+            return margin_metric(evaluations, labels, classes, per_object)
+
+        def positional(evaluations, labels, classes):
+            return margin_metric(evaluations, labels, classes)
+
+        def keywords(evaluations, labels, classes, **kwargs):
+            return MetricValue(margin_metric(evaluations, labels, classes).value, per_object=None)
+
+        rb, data, _ = self.partly_silent_problem()
+        cfg = OptimizerConfig(fd_scheme=scheme)
+        expected = {k: v.hex() for k, v in gradient(rb, data, cfg).items()}
+        # a wrapper installed on the metric module, as a profiler installs
+        # one, keeps margin_metric's subset re-scoring
+        monkeypatch.setattr(metric, "margin_metric", recording)
+        assert {k: v.hex() for k, v in gradient(rb, data, cfg, recording).items()} == expected
+        assert min(sizes) < len(data)
+        for metric_fn in (positional, keywords):
+            assert {k: v.hex() for k, v in gradient(rb, data, cfg, metric_fn).items()} == expected
+
+    @pytest.mark.parametrize("scheme", ["forward", "central"])
+    def test_a_mean_plug_in_gets_the_naive_gradient(self, scheme):
+        # its terms left-fold to its value, but each depends on the object
+        # count, so re-scoring only the objects a probe changed would be wrong
+        def mean(evaluations, labels, classes, per_object=False):
+            m = margin_metric(evaluations, labels, classes, per_object=True)
+            terms = [t / len(evaluations) for t in m.per_object]
+            value = 0.0
+            for t in terms:
+                value += t
+            return MetricValue(value, terms if per_object else None)
+
+        rb, data, _ = self.partly_silent_problem()
+        grads = [
+            {k: v.hex() for k, v in gradient(
+                rb, data, OptimizerConfig(fd_scheme=scheme, use_tms=tms), mean).items()}
+            for tms in (True, False)
+        ]
+        assert grads[0] == grads[1]
+
+    def test_probes_perturb_only_the_objects_a_rule_fires_on(self, monkeypatch):
+        import cf_forge.optimizer as optimizer
+
+        rb, data, states = self.partly_silent_problem()
+        calls = []
+        original = optimizer.perturb_weight
+        monkeypatch.setattr(
+            optimizer, "perturb_weight", lambda st, *args: calls.append(st) or original(st, *args)
+        )
+        gradient(rb, data, OptimizerConfig(fd_scheme="forward"))
+        pairs = sum(c is not None for s in states for c in s.contributions)
+        assert len(calls) == pairs < len(rb.rules) * len(data)
+
     def test_budget_probe_accounting(self):
         rb, _, data, _ = generate(SynthSpec(features=4, classes=2, objects=6, seed=1))
         budget = EvaluationBudget()
