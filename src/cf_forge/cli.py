@@ -70,6 +70,8 @@ def cmd_gen(args) -> int:
     given = [f"--{name}" for name in _FLAT_GEN_DEFAULTS if getattr(args, name) is not None]
     if args.shape and given:
         raise ValueError(f"{', '.join(given)} cannot be used with --shape")
+    if args.rules is not None and not args.shape:  # the flat spec fixes the rule count
+        raise ValueError("--rules can only be used with --shape")
     for name, default in _FLAT_GEN_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
@@ -78,7 +80,7 @@ def cmd_gen(args) -> int:
     # the directory is made only after generation, so an invalid spec leaves none
     out = Path(args.out)
     if args.shape:
-        rb, objects = generate_shaped(args.rules, args.shape, seed=args.seed)
+        rb, objects = generate_shaped(7 if args.rules is None else args.rules, args.shape, seed=args.seed)
         out.mkdir(parents=True, exist_ok=True)
         save_rulebase(rb, out / "rules.json")
         save_dataset(objects, out / "train.jsonl")
@@ -241,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout", type=float, help="fraction written to holdout.jsonl")
     p.add_argument("--shape", choices=["flat", "chain", "tree"], default=None,
                    help="generate a shaped single-object base instead")
-    p.add_argument("--rules", type=int, default=7, help="rule count for --shape")
+    p.add_argument("--rules", type=int, help="rule count for --shape (default 7)")
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_gen)

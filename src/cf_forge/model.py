@@ -627,9 +627,15 @@ def save_dataset(objects: Sequence[TrainingObject], path) -> None:
 
 
 def load_dataset(path) -> list[TrainingObject]:
-    """Read a JSON Lines dataset; ParseError carries the line number."""
+    """Read a JSON Lines dataset; ParseError carries the line number.
+
+    Integer facts are stored as floats, and the objects of one load share
+    one string per distinct fact name.  An object with a fact that is no
+    certainty factor is reported by its first such fact and its line.
+    """
     objects = []
     seen = set()
+    names: dict[str, str] = {}  # each fact name, once per load
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -645,7 +651,7 @@ def load_dataset(path) -> list[TrainingObject]:
             for k, v in raw_facts.items():
                 if not isinstance(v, (int, float)) or isinstance(v, bool) or not is_cf(v):
                     raise ParseError(f"fact {k!r} is not a certainty factor: {v!r}", where)
-                facts[k] = float(v)
+                facts[names.setdefault(k, k)] = float(v)
             if oid in seen:
                 raise ParseError(f"duplicate object id {oid!r}", where)
             seen.add(oid)

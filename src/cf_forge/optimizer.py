@@ -41,7 +41,9 @@ rule's downstream closure, once, and only on the objects the rule fires on
 a single training object the scan is skipped and every probe perturbs it.)
 The restore replays the engine's undo log and fires nothing.  The training
 states keep prefix accumulators, so each re-fire refolds only the part of
-its consequent's fan-in that the closure can change.  When the metric is
+its consequent's fan-in that the closure can change; they drop them after
+the last gradient a run may take, so its final full passes do not fill
+them.  When the metric is
 ``margin_metric``, its per-object terms are taken once per gradient; a
 probe re-scores only the objects it changed and left-folds the terms,
 those replaced, from 0.0 in object order, which is the sum margin_metric
@@ -480,6 +482,9 @@ class _Session:
         last = None  # (weights, gradient) where the last accepted step began
         for it in range(1, cfg.max_iters + 1):
             g = self.gradient(f_cur)
+            if it == cfg.max_iters:  # no gradient reads a prefix after this one
+                for st in self.train.states:
+                    st.prefix = None
             g_inf = self.projected_inf_norm(g)
             if g_inf <= cfg.tol_grad:
                 status = "converged_gradient"

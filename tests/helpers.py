@@ -4,8 +4,9 @@ The random generator builds layered DAGs (inputs at level 0, derived
 propositions above, the top level marked as output classes) so depth is
 bounded by construction and cycles are impossible.  The oracles here stay
 deliberately dumb: reachability by scanning antecedents, the combining
-formula as its docstring states it, and an evaluator that shares no code
-with the engine or the rule base's cached graph.
+formula as its docstring states it, an evaluator that shares no code
+with the engine or the rule base's cached graph, and a dataset loader that
+checks every fact one at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from cf_forge import (
     TrainingObject,
     referenced_props,
 )
-from cf_forge.model import DERIVED, INPUT
+from cf_forge.algebra import is_cf
+from cf_forge.errors import ParseError
+from cf_forge.model import DERIVED, INPUT, _take, decode_json
 
 
 def random_expr(rng: random.Random, candidates: list[str], max_leaves: int = 3):
@@ -167,3 +170,31 @@ def reference_eval(rb: RuleBase, obj: TrainingObject, threshold: float) -> dict[
                 heapq.heappush(ready, nxt)
     assert not any(waiting.values()), "cyclic rule base"
     return env
+
+
+def reference_load_dataset(path) -> list[TrainingObject]:
+    """load_dataset with every fact checked and converted one at a time."""
+    objects = []
+    seen = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"line {lineno}"
+            doc = decode_json(line, where)
+            if not isinstance(doc, dict):
+                raise ParseError("object must be a JSON object", where)
+            oid = _take(doc, "id", where, str)
+            label = _take(doc, "label", where, str)
+            raw_facts = _take(doc, "facts", where, dict, required=False, default={})
+            facts = {}
+            for k, v in raw_facts.items():
+                if not isinstance(v, (int, float)) or isinstance(v, bool) or not is_cf(v):
+                    raise ParseError(f"fact {k!r} is not a certainty factor: {v!r}", where)
+                facts[k] = float(v)
+            if oid in seen:
+                raise ParseError(f"duplicate object id {oid!r}", where)
+            seen.add(oid)
+            objects.append(TrainingObject(id=oid, facts=facts, label=label))
+    return objects
+

@@ -383,6 +383,15 @@ class TestRobustness:
         assert flag in assert_one_error(capsys, rc)
         assert not (tmp_path / "gen").exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--features", "4", "--classes", "2", "--objects", "6"]],
+                             ids=["defaults", "flat-spec"])
+    def test_gen_rules_needs_shape(self, tmp_path, capsys, flags):
+        # the flat generator's rule count follows from its spec, so --rules
+        # would be ignored without a word
+        rc = run("gen", "--rules", "5", *flags, "--out", str(tmp_path / "gen"))
+        assert "--rules" in assert_one_error(capsys, rc)
+        assert not (tmp_path / "gen").exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan", "1.0", "-0.5"])
     def test_gen_holdout_out_of_range(self, tmp_path, capsys, value):
         rc = run("gen", "--features", "4", "--classes", "2", "--objects", "10",

@@ -1,6 +1,7 @@
 """Rule-base model: validation, graph queries, and serialization."""
 
 import json
+import math
 import random
 
 import pytest
@@ -28,7 +29,7 @@ from cf_forge import (
     validate_dataset,
 )
 from cf_forge.model import DERIVED, INPUT, MAX_EXPR_DEPTH, from_dict, to_dict
-from helpers import brute_force_closure, random_rulebase
+from helpers import brute_force_closure, random_rulebase, reference_load_dataset
 
 
 def tiny_base(**rule_kwargs):
@@ -364,6 +365,57 @@ class TestParseProperties:
             pass
 
 
+# datasets for the loader oracle: facts of every JSON kind, in and out of
+# the CF range, under a few names shared across objects
+_FACT_VALUES = (
+    st.floats() | st.floats(-1.0, 1.0) | st.integers(-2, 2) | st.integers() | st.text(max_size=3)
+    | st.sampled_from([10**400, -10**400, math.nan, math.inf, -math.inf, True, False, None])
+)
+_FACT_NAMES = st.sampled_from(["f", "g", "c", "zzz"])
+_DATA_OBJECTS = st.lists(
+    st.fixed_dictionaries({
+        "id": st.sampled_from(["a", "b", "c"]),
+        # the second kind holds mostly CFs, so a lone NaN among them is common
+        "facts": st.dictionaries(_FACT_NAMES, _FACT_VALUES, max_size=4)
+        | st.dictionaries(_FACT_NAMES, st.floats(-1.0, 1.0) | st.just(math.nan), max_size=4),
+        "label": st.sampled_from(["c", "zzz"]),
+    }),
+    min_size=1, max_size=4,
+)
+_NAN_AFTER_A_CF = [{"id": "a", "facts": {"f": 0.5, "g": math.nan}, "label": "c"}]
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except CfForgeError as e:
+        return type(e), str(e)
+
+
+def _exact(result):
+    """A loaded dataset with each fact's type and repr, which tell -0.0
+    from 0.0 and 1 from 1.0; an error outcome as it is."""
+    if isinstance(result, list):
+        return [(o.id, o.label, [(k, type(v), repr(v)) for k, v in o.facts.items()]) for o in result]
+    return result
+
+
+class TestDatasetOracle:
+    """load_dataset shares fact names across the objects of a load; its
+    results and errors must be those of a plain per-fact loop that shares
+    nothing (helpers.reference_load_dataset)."""
+
+    @settings(deadline=None)
+    @given(_DATA_OBJECTS)
+    @example(_NAN_AFTER_A_CF)
+    def test_load_dataset_matches_the_reference(self, tmp_path_factory, docs):
+        path = tmp_path_factory.getbasetemp() / "oracle.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        got = _outcome(load_dataset, path)
+        assert _exact(got) == _exact(_outcome(reference_load_dataset, path))
+
+
 class TestDataset:
     def test_round_trip(self, tmp_path):
         objs = [
@@ -386,6 +438,19 @@ class TestDataset:
             save_dataset([good, bad], path)  # raises after the first line is written
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+
+    def test_objects_share_fact_names(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(
+            f'{{"id": "o{i}", "facts": {{"feature_a": {v}, "feature_b": 0.5}}, "label": "c"}}\n'
+            for i, v in enumerate([0, 1, -1])
+        ))
+        objs = load_dataset(path)
+        for name in ("feature_a", "feature_b"):
+            first, *rest = ([k for k in o.facts if k == name][0] for o in objs)
+            assert all(k is first for k in rest)
+        assert [o.facts["feature_a"] for o in objs] == [0.0, 1.0, -1.0]
+        assert all(type(o.facts["feature_a"]) is float for o in objs)
 
     def test_fact_out_of_range(self, tmp_path):
         path = tmp_path / "data.jsonl"

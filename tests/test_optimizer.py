@@ -32,7 +32,7 @@ from cf_forge import (
 )
 from cf_forge.metric import MetricValue, margin_metric
 from cf_forge.model import DERIVED, INPUT
-from cf_forge.optimizer import BB_STEP_MAX, BB_STEP_MIN, _bb_step, _split_dataset
+from cf_forge.optimizer import BB_STEP_MAX, BB_STEP_MIN, _bb_step, _Session, _split_dataset
 
 
 DELETE = object()  # marks a trace field to remove rather than replace
@@ -741,6 +741,19 @@ class TestFiringsTally:
         gradient(rb, objects, OptimizerConfig(), budget=budget)
         assert budget.firings == 7 + 2 * pairs(objects)  # the base pass and the probes
         assert (budget.gradients, budget.objects, budget.trainable_rules) == (2, 40, 18)
+
+
+class TestPrefixes:
+    """Training states keep prefix accumulators only while a gradient may
+    still read them."""
+
+    def test_dropped_after_the_last_gradient(self):
+        rb, _, objects, _ = generate(SynthSpec(features=6, classes=3, objects=40, seed=3))
+        sess = _Session(rb, objects, OptimizerConfig(max_iters=2, step_init=0.01), margin_metric)
+        assert all(st.prefix is not None for st in sess.train.states)
+        trace = sess.descend()
+        assert trace.status == "max_iters" and len(trace.iterations) == 2
+        assert all(st.prefix is None for st in sess.train.states)
 
 
 class TestBench:
