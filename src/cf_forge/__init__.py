@@ -33,6 +33,7 @@ from .errors import (
     InconsistentState,
     NoOutputClasses,
     NoTrainableRules,
+    NonFiniteObjective,
     ParseError,
     SpecInvalid,
     UnboundProposition,

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from pathlib import Path
 
-from .errors import CfForgeError
+from .errors import CfForgeError, NonFiniteObjective
 from .metric import PenaltyConfig, accuracy, margin_metric, penalty
 from .model import (
     decode_json,
@@ -116,10 +117,13 @@ def _evaluate(rb, objects, mu: float, threshold: float, per_object: bool = False
     labels = {o.id: o.label for o in objects}
     m = margin_metric(states, labels, rb.output_classes, per_object=per_object)
     p = penalty(rb, PenaltyConfig(coefficient=mu))
+    objective = m.value + p
+    if not math.isfinite(objective):
+        raise NonFiniteObjective("objective", objective, mu)
     doc = {
         "metric": m.value,
         "penalty": p,
-        "objective": m.value + p,
+        "objective": objective,
         "accuracy": accuracy(states, labels, rb),
     }
     if per_object:

@@ -36,7 +36,9 @@ is pending (a kept perturb, or a restore that re-fired) empties them, and
 re-fires fold from lo, from 0.0, until the next full pass refills them.
 ``firing_states`` tells, for each of several rules, which of many states
 it fires in, so a caller can perturb only those: the others would not
-change.
+change.  It reads the status each state's full pass (or a later perturb)
+stored, a contribution that is not None, and evaluates no antecedent;
+perturb_weight re-checks it on every state it perturbs.
 
 Every perturb records what it overwrites in an undo log on the state, one
 entry per re-fire: (slot, old contribution, consequent, old CF).  Each
@@ -200,40 +202,27 @@ def _slots_disagree(state: ObjectEvaluation, n_rules: int) -> InconsistentState:
     )
 
 
-def _firing_disagrees(rule_id: str) -> InconsistentState:
-    return InconsistentState(f"rule {rule_id!r} firing status disagrees with stored contributions")
-
-
 def firing_states(
     states: Sequence[ObjectEvaluation], rb: RuleBase, rule_ids: Sequence[str]
-) -> list[Sequence[int]]:
-    """For each rule id, the positions, in order, of the states in which
-    the rule fires: the only ones a perturb of its weight changes; a rule
-    that fires in every state gets one shared ``range``.  Every state gets
-    the checks perturb_weight makes, for every rule, so an inconsistent
-    state raises InconsistentState whether the rule fires in it or not."""
+) -> list[list[int]]:
+    """For each rule id, the positions, in order, of the states whose
+    stored contribution at the rule's slot is not None: the states the rule
+    fires in, as their last full pass or perturb decided, and the only ones
+    a perturb of its weight changes.  No antecedent is evaluated again;
+    perturb_weight checks the firing status of every state it perturbs."""
     refires = rb.firing_plan().refires
     n_rules = len(rb.rules)
     for state in states:
         if len(state.contributions) != n_rules:
             raise _slots_disagree(state, n_rules)
-    every = range(len(states))
-    out: list[Sequence[int]] = []
+    contribs = [state.contributions for state in states]
+    out: list[list[int]] = []
     for rule_id in rule_ids:
         entry = refires.get(rule_id)
         if entry is None:
             rb.rule(rule_id)  # raises UnknownRule
-        _, leaf, _, _, slot, _, _, _ = entry
-        positions = []
-        for i, state in enumerate(states):
-            prop_cf = state.prop_cf
-            a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
-            firing = a > state.threshold
-            if firing != (state.contributions[slot] is not None):
-                raise _firing_disagrees(rule_id)
-            if firing:
-                positions.append(i)
-        out.append(every if len(positions) == len(states) else positions)
+        slot = entry[4]
+        out.append([i for i, c in enumerate(contribs) if c[slot] is not None])
     return out
 
 
@@ -263,7 +252,7 @@ def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weig
     threshold = state.threshold
     firing = a > threshold
     if firing != (saved is not None):
-        raise _firing_disagrees(rule_id)
+        raise InconsistentState(f"rule {rule_id!r} firing status disagrees with stored contributions")
     pre = state.prefix
     undo = state.undo
     if pre and undo is not None and undo[3]:

@@ -61,5 +61,15 @@ class NoTrainableRules(CfForgeError):
     """Training requires at least one trainable rule."""
 
 
+class NonFiniteObjective(CfForgeError):
+    """An objective or gradient component came out inf or NaN: a soft-bound
+    penalty overflowed under its coefficient (margin terms are bounded)."""
+
+    def __init__(self, what: str, value: float, coefficient: float):
+        super().__init__(
+            f"{what} is {value!r}, not finite, under penalty coefficient {coefficient!r}"
+        )
+
+
 class SpecInvalid(CfForgeError):
     """A synthetic-generation request is outside the supported range."""

@@ -629,13 +629,13 @@ def save_dataset(objects: Sequence[TrainingObject], path) -> None:
 def load_dataset(path) -> list[TrainingObject]:
     """Read a JSON Lines dataset; ParseError carries the line number.
 
-    Integer facts are stored as floats, and the objects of one load share
-    one string per distinct fact name.  An object with a fact that is no
-    certainty factor is reported by its first such fact and its line.
+    Integer facts are stored as floats; the objects of one load share one
+    string per distinct fact name or label.  An object with a fact that is
+    no certainty factor is reported by its first such fact and its line.
     """
     objects = []
     seen = set()
-    names: dict[str, str] = {}  # each fact name, once per load
+    names: dict[str, str] = {}  # each fact name and label, once per load
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -655,6 +655,7 @@ def load_dataset(path) -> list[TrainingObject]:
             if oid in seen:
                 raise ParseError(f"duplicate object id {oid!r}", where)
             seen.add(oid)
+            label = names.setdefault(label, label)
             objects.append(TrainingObject(id=oid, facts=facts, label=label))
     return objects
 

@@ -172,6 +172,13 @@ def reference_eval(rb: RuleBase, obj: TrainingObject, threshold: float) -> dict[
     return env
 
 
+def reference_firing(rb: RuleBase, obj: TrainingObject, threshold: float) -> set[str]:
+    """The ids of the rules whose antecedent, worked out from
+    reference_eval's CFs, exceeds the threshold: the rules that fire."""
+    env = reference_eval(rb, obj, threshold)
+    return {r.id for r in rb.rules if _antecedent_cf(r.antecedent, env) > threshold}
+
+
 def reference_load_dataset(path) -> list[TrainingObject]:
     """load_dataset with every fact checked and converted one at a time."""
     objects = []

@@ -351,6 +351,19 @@ class TestRobustness:
         assert_one_error(capsys, rc)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_overflowing_penalty(self, gen_dir, tmp_path, capsys, command):
+        # 1e308 x 1.5^2 overflows: the objective is inf before anything is written
+        doc = read_json(gen_dir / "rules.json")
+        doc["rules"][0].update(bound_kind="soft", bounds=[0.5, 0.6], weight=-1.0)
+        rules = tmp_path / "soft.json"
+        rules.write_text(json.dumps(doc))
+        rc = run(command, "--rules", str(rules), "--data", str(gen_dir / "train.jsonl"),
+                 "--mu", "1e308", "--out", str(tmp_path / "out"))
+        line = assert_one_error(capsys, rc)
+        assert line == "error: objective is inf, not finite, under penalty coefficient 1e+308"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["5", "1e300"])
     def test_fd_eps_above_one(self, gen_dir, tmp_path, capsys, value):
         # a probe step above 1 would evaluate weights outside [-1, 1]

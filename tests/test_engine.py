@@ -22,6 +22,7 @@ from cf_forge import (
     RuleBase,
     TrainingObject,
     UnboundProposition,
+    UnknownRule,
     classify,
     combine_parallel,
     eval_expr,
@@ -31,7 +32,7 @@ from cf_forge import (
 )
 from cf_forge.algebra import referenced_props
 from cf_forge.model import DERIVED, INPUT
-from helpers import random_object, random_rulebase, reference_eval
+from helpers import random_object, random_rulebase, reference_eval, reference_firing
 
 
 def single_rule_base(weight=0.8):
@@ -313,12 +314,71 @@ class TestPerturb:
             for i, f in enumerate(facts)
         ]
         assert engine.firing_states(states, rb, ["r1"]) == [[0, 3]]
-        assert list(engine.firing_states(states[::3], rb, ["r1"])[0]) == [0, 1]
-        states[1].contributions[0] = 0.1  # silent, yet a contribution is stored
+        assert engine.firing_states(states[::3], rb, ["r1"]) == [[0, 1]]
+        # silent, yet a contribution is stored: the scan reads the stored
+        # status, and the perturb of that state is what catches it
+        states[1].contributions[0] = 0.1
+        assert engine.firing_states(states, rb, ["r1"]) == [[0, 1, 3]]
         with pytest.raises(InconsistentState):
-            engine.firing_states(states, rb, ["r1"])
+            perturb_weight(states[1], rb, "r1", 0.2)
         with pytest.raises(InconsistentState):  # never evaluated
             engine.firing_states([engine.ObjectEvaluation("o")], rb, ["r1"])
+        with pytest.raises(UnknownRule):
+            engine.firing_states(states, rb, ["ghost"])
+
+    # full: re-evaluate one object into its state, which clears its log;
+    # perturb: displace a rule on every state and keep the weight;
+    # restore: return the last displaced rule to its weight before it
+    actions = st.lists(
+        st.tuples(
+            st.sampled_from(["full", "perturb", "restore"]),
+            st.integers(min_value=0),  # object or rule index, modulo the count
+            st.floats(min_value=-1.0, max_value=1.0),  # weight
+        ),
+        min_size=1,
+        max_size=12,
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        threshold=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+        ),
+        prefix=st.booleans(),
+        actions=actions,
+    )
+    def test_firing_states_match_the_independent_evaluator(self, seed, threshold, prefix, actions):
+        """The base always holds the weights every state reflects, so after
+        every step each rule's firing states must be the objects on which
+        reference_eval's CFs lift its antecedent above the threshold."""
+        rng = random.Random(seed)
+        rb = random_rulebase(rng, max_rules=40)
+        objs = [random_object(rng, rb, f"o{i}") for i in range(rng.randint(2, 5))]
+        policy = FiringPolicy(threshold=threshold)
+        states = [evaluate(rb, obj, policy, prefix) for obj in objs]
+        ids = [r.id for r in rb.rules]
+        last = None  # (rule, weight before its last perturb)
+        for action, pick, w in actions:
+            if action == "full":
+                k = pick % len(objs)
+                evaluate_full(rb, objs[k], policy, into=states[k])
+            elif action == "perturb":
+                rule = rb.rules[pick % len(rb.rules)]
+                last = (rule, rule.weight)
+                for state in states:
+                    perturb_weight(state, rb, rule.id, w)
+                rule.weight = w
+            elif last is not None:
+                rule, old = last
+                for state in states:
+                    restore_weight(state, rb, rule.id, old)
+                rule.weight = old
+                last = None
+            fires = [reference_firing(rb, obj, threshold) for obj in objs]
+            expected = [[i for i, f in enumerate(fires) if rid in f] for rid in ids]
+            assert engine.firing_states(states, rb, ids) == expected
 
     def test_refold_check(self):
         rb = chain3_base()

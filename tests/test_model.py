@@ -442,13 +442,16 @@ class TestDataset:
     def test_objects_share_fact_names(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text("".join(
-            f'{{"id": "o{i}", "facts": {{"feature_a": {v}, "feature_b": 0.5}}, "label": "c"}}\n'
-            for i, v in enumerate([0, 1, -1])
+            f'{{"id": "o{i}", "facts": {{"feature_a": {v}, "feature_b": 0.5}}, "label": "{c}"}}\n'
+            for i, (v, c) in enumerate([(0, "class_a"), (1, "class_b"), (-1, "class_a")])
         ))
         objs = load_dataset(path)
         for name in ("feature_a", "feature_b"):
             first, *rest = ([k for k in o.facts if k == name][0] for o in objs)
             assert all(k is first for k in rest)
+        # objects with the same label share one label object
+        assert [o.label for o in objs] == ["class_a", "class_b", "class_a"]
+        assert objs[0].label is objs[2].label
         assert [o.facts["feature_a"] for o in objs] == [0.0, 1.0, -1.0]
         assert all(type(o.facts["feature_a"]) is float for o in objs)
 

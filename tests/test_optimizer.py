@@ -11,6 +11,7 @@ from cf_forge import (
     EmptyDataset,
     EvaluationBudget,
     NoTrainableRules,
+    NonFiniteObjective,
     OptimizerConfig,
     ParseError,
     PenaltyConfig,
@@ -281,6 +282,22 @@ class TestGradient:
         pairs = sum(c is not None for s in states for c in s.contributions)
         assert len(calls) == pairs < len(rb.rules) * len(data)
 
+    def test_overflowing_penalty_raises(self):
+        # 1e308 x 1.5^2 overflows, so the objective at the weights is inf
+        rb, data = one_rule_problem(weight=-1.0, bound_kind="soft", bounds=(0.5, 0.6))
+        cfg = OptimizerConfig(penalty=PenaltyConfig(coefficient=1e308))
+        with pytest.raises(NonFiniteObjective, match=r"^objective is inf, .* 1e\+308$"):
+            gradient(rb, data, cfg)
+
+    @pytest.mark.parametrize("use_tms", [True, False])
+    def test_overflowing_component_raises(self, use_tms):
+        # the penalty 1e308 x 1.0^2 is finite, but its forward difference,
+        # about -2e304 over a step of 1e-4, is not
+        rb, data = one_rule_problem(weight=-0.5, bound_kind="soft", bounds=(0.5, 0.6))
+        cfg = OptimizerConfig(use_tms=use_tms, penalty=PenaltyConfig(coefficient=1e308))
+        with pytest.raises(NonFiniteObjective, match="^gradient component of rule 'r1' is -inf"):
+            gradient(rb, data, cfg)
+
     def test_budget_probe_accounting(self):
         rb, _, data, _ = generate(SynthSpec(features=4, classes=2, objects=6, seed=1))
         budget = EvaluationBudget()
@@ -316,6 +333,13 @@ class TestTrain:
         trained, trace = train(rb, data, cfg)
         expected = (2.0 * 1.0 + 10.0 * 0.5) / (1.0 + 10.0)
         assert trained.rules[0].weight == pytest.approx(expected, abs=1e-2)
+
+    @pytest.mark.parametrize("use_tms", [True, False])
+    def test_overflowing_penalty_raises(self, use_tms):
+        rb, data = one_rule_problem(weight=-1.0, bound_kind="soft", bounds=(0.5, 0.6))
+        cfg = OptimizerConfig(use_tms=use_tms, penalty=PenaltyConfig(coefficient=1e308))
+        with pytest.raises(NonFiniteObjective, match="^objective is inf"):
+            train(rb, data, cfg)
 
     def test_all_rules_frozen(self):
         rb, data = one_rule_problem()
