@@ -96,10 +96,12 @@ def cmd_gen(args) -> int:
         seed=args.seed,
     )
     rb_zero, rb_expert, objects, _ = generate(spec)
+    k = int(round(args.holdout * len(objects)))
+    if k == len(objects):
+        raise ValueError(f"--holdout {args.holdout!r} leaves none of the {k} objects for training")
+    holdout, objects = objects[:k], objects[k:]
     out.mkdir(parents=True, exist_ok=True)
     if args.holdout > 0.0:
-        k = int(round(args.holdout * len(objects)))
-        holdout, objects = objects[:k], objects[k:]
         save_dataset(holdout, out / "holdout.jsonl")
     save_rulebase(rb_zero, out / "rules.json")
     save_rulebase(rb_expert, out / "expert.json")
@@ -111,10 +113,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _evaluate(rb, objects, mu: float, threshold: float, per_object: bool = False) -> dict:
+def _full_pass(rb, objects, threshold: float) -> tuple[list, dict[str, str]]:
+    """Each object's evaluation, and the labels keyed by object id."""
     policy = FiringPolicy(threshold=threshold)
-    states = [evaluate_full(rb, o, policy) for o in objects]
-    labels = {o.id: o.label for o in objects}
+    return [evaluate_full(rb, o, policy) for o in objects], {o.id: o.label for o in objects}
+
+
+def _evaluate(rb, objects, mu: float, threshold: float, per_object: bool = False) -> dict:
+    states, labels = _full_pass(rb, objects, threshold)
     m = margin_metric(states, labels, rb.output_classes, per_object=per_object)
     p = penalty(rb, PenaltyConfig(coefficient=mu))
     objective = m.value + p
@@ -166,10 +172,10 @@ def cmd_train(args) -> int:
     report = {
         "config": trace.config,
         "status": trace.status,
-        "initial": dict(trace.initial, accuracy=_evaluate(rb, dataset, args.mu, args.tau)["accuracy"]),
+        "initial": dict(trace.initial, accuracy=accuracy(*_full_pass(rb, dataset, args.tau), rb)),
         "final": dict(
             {k: last[k] for k in trace.initial},
-            accuracy=_evaluate(trained, dataset, args.mu, args.tau)["accuracy"],
+            accuracy=accuracy(*_full_pass(trained, dataset, args.tau), trained),
         ),
         "holdout_curve": [
             rec.holdout_objective for rec in trace.iterations

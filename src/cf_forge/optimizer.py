@@ -46,15 +46,15 @@ states keep prefix accumulators, so each re-fire refolds only the part of
 its consequent's fan-in that the closure can change; they drop them after
 the last gradient a run may take, so its final full passes do not fill
 them.  When the metric is
-``margin_metric``, its per-object terms are taken once per gradient; a
-probe re-scores only the objects it changed and left-folds the terms,
-those replaced, from 0.0 in object order, which is the sum margin_metric
-itself makes.  Any other plug-in, or a probe that changes every object,
-gets one whole-metric call: a plug-in's terms need not be per-object (a
-mean is not), so re-scoring a subset of objects could change them.  The
-penalty is scanned once per
-gradient, and a probe of a rule that is not soft-bounded reuses that scan:
-such a rule adds no penalty term at any weight.  Only a soft-bounded probe
+``margin_metric`` over more than one object, its per-object terms are
+taken once per gradient; every probe re-scores only the objects it
+changed (all, some or none) and left-folds the terms, those replaced,
+from 0.0 in object order, which is the sum margin_metric itself makes.
+Any other plug-in, or a one-object part, gets one whole-metric call per
+probe: a plug-in's terms need not be per-object (a mean is not), so
+re-scoring a subset of objects could change them.  The gradient, and a
+probe of a rule that is not soft-bounded (it adds no penalty term at any
+weight), reuse the penalty of the score before it.  Only a soft-bounded probe
 rescans the rules.  A probe thus costs O(closure) firings on the objects
 it changes, instead of a full pass.  The engine is exact, and the reused
 penalty and refolded terms are the very values a rescan would give, which
@@ -146,8 +146,10 @@ class OptimizerConfig:
             raise ValueError("armijo_c must be in [0, 1)")
         if not (0.0 < self.shrink < 1.0):
             raise ValueError("shrink must be in (0, 1)")
-        if self.max_backtracks < 0 or self.max_iters < 1:
-            raise ValueError("max_backtracks must be >= 0 and max_iters >= 1")
+        if self.max_backtracks < 0:
+            raise ValueError("max_backtracks must be >= 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if not (0.0 <= self.holdout_fraction < 1.0):
             raise ValueError("holdout_fraction must be in [0, 1)")
         if self.multi_start < 1:
@@ -244,13 +246,6 @@ def _record(cls, doc, where: str):
     if not isinstance(doc, dict):
         raise ParseError("must be a JSON object", where)
     return cls(**{f.name: _take(doc, f.name, where, _JSON_TYPES[f.type]) for f in fields(cls)})
-
-
-def _config_dict(cfg: OptimizerConfig) -> dict:
-    doc = asdict(cfg)
-    if cfg.train_only is not None:
-        doc["train_only"] = list(cfg.train_only)
-    return doc
 
 
 def _projection_interval(rule: Rule) -> tuple[float, float]:
@@ -365,8 +360,8 @@ class _Session:
     ) -> float:
         """Objective with one weight displaced, everything else fixed;
         ``base_pen`` is the penalty of the undisplaced base, ``terms`` its
-        margin_metric terms (None for a plug-in) and ``firing`` the
-        positions of the training states the probe changes (never None)."""
+        margin_metric terms (None for a plug-in or a one-object part) and
+        ``firing`` the positions of the training states the probe changes."""
         old = rule.weight
         rule.weight = w_probe
         try:
@@ -379,14 +374,13 @@ class _Session:
                     changed = [states[i] for i in firing]
                 for st in changed:
                     perturb_weight(st, self.rb, rule.id, w_probe)
-                if terms is None or changed is states:
+                if terms is None:
                     value = self.metric_fn(states, part.labels, self.classes).value
                 else:  # re-score only the changed objects, then refold every term
                     probed = terms.copy()
-                    if changed:
-                        mv = self.metric_fn(changed, part.labels, self.classes, per_object=True)
-                        for i, term in zip(firing, mv.per_object):
-                            probed[i] = term
+                    mv = self.metric_fn(changed, part.labels, self.classes, per_object=True)
+                    for i, term in zip(firing, mv.per_object):
+                        probed[i] = term
                     value = reduce(add, probed, 0.0)
                 if rule.bound_kind == SOFT:
                     value += penalty(self.rb, self.cfg.penalty)
@@ -401,14 +395,13 @@ class _Session:
         self.budget.probe_evals += len(self.train.objects)
         return value
 
-    def gradient(self, base_objective: float) -> list[float]:
-        """Finite-difference gradient at the current weights, one component
-        per rule of ``trainable``, in that order, with probe step
-        ``h = fd_eps``; see the module docstring for the two formulas.  A
-        component that is inf or NaN raises NonFiniteObjective."""
+    def gradient(self, base_objective: float, base_pen: float) -> list[float]:
+        """Finite-difference gradient at the current weights, where score()
+        gave ``base_objective`` and ``base_pen``: one component per rule of
+        ``trainable``, in order, probe step ``h = fd_eps`` (formulas in the
+        module docstring).  An inf or NaN component raises NonFiniteObjective."""
         cfg = self.cfg
         h = cfg.fd_eps
-        base_pen = penalty(self.rb, cfg.penalty)
         part = self.train
         terms, firing = None, [range(len(part.states))] * len(self.trainable)
         # every probe restores its states, so both hold for all of them.  A
@@ -489,7 +482,7 @@ class _Session:
         stall = 0
         last = None  # (weights, gradient) where the last accepted step began
         for it in range(1, cfg.max_iters + 1):
-            g = self.gradient(f_cur)
+            g = self.gradient(f_cur, p_cur)
             if it == cfg.max_iters:  # no gradient reads a prefix after this one
                 for st in self.train.states:
                     st.prefix = None
@@ -527,7 +520,7 @@ class _Session:
                 stall = 0
         self.budget.firings += self.fired()
         return TrainingTrace(
-            config=_config_dict(cfg),
+            config=asdict(cfg),
             status=status,
             initial=initial,
             iterations=records,
@@ -549,7 +542,8 @@ def gradient(
     left untouched; pass a budget to observe the probe accounting."""
     cfg = cfg or OptimizerConfig()
     sess = _Session(rb, dataset, cfg, metric_fn, budget=budget)
-    g = sess.gradient(sess.score(sess.train)[0])
+    f, _, p = sess.score(sess.train)
+    g = sess.gradient(f, p)
     sess.budget.firings += sess.fired()
     return {r.id: v for r, v in zip(sess.trainable, g)}
 
@@ -647,9 +641,9 @@ def run_gradient_bench(
     rb, objects = generate_shaped(n_rules, shape, seed)
     cfg = OptimizerConfig(use_tms=(mode == "tms"), seed=seed)
     sess = _Session(rb, objects, cfg, margin_metric)
-    base = sess.score(sess.train)[0]
+    f, _, p = sess.score(sess.train)
     fired_before = sess.fired()
-    sess.gradient(base)
+    sess.gradient(f, p)
     return {
         "shape": shape,
         "rules": n_rules,

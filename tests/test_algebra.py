@@ -24,6 +24,9 @@ cfs = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 # the conflicting-combination denominator 1 - min(|x|, |y|) amplifies
 # rounding near saturation, so the associativity law is checked away from it
 cfs_interior = st.floats(min_value=-0.99, max_value=0.99, allow_nan=False)
+# phi below loses digits as |x| nears 1, so the evidence identity is
+# checked on [-0.999, 0.999]
+cfs_evidence = st.floats(min_value=-0.999, max_value=0.999, allow_nan=False)
 
 TINY = 5e-324  # the smallest subnormal
 MIN_NORMAL = 2.2250738585072014e-308
@@ -93,6 +96,33 @@ class TestCombineParallel:
         left = combine_parallel(combine_parallel(x, y), z)
         right = combine_parallel(x, combine_parallel(y, z))
         assert left == pytest.approx(right, abs=1e-12)
+
+
+def phi(x):
+    """The evidence of a CF, a log-likelihood ratio (Heckerman 1986)."""
+    return math.copysign(-math.log1p(-abs(x)), x)
+
+
+def phi_inv(e):
+    return math.copysign(-math.expm1(-abs(e)), e)
+
+
+class TestEvidenceSpace:
+    """Parallel combination is addition of evidence: combine_parallel(x, y)
+    == phi_inv(phi(x) + phi(y)) in all three branches (Hajek 1985), so a
+    fold of contributions is phi_inv of the sum of their evidence."""
+
+    @given(cfs_evidence, cfs_evidence)
+    def test_a_pair_adds_its_evidence(self, x, y):
+        assert combine_parallel(x, y) == pytest.approx(phi_inv(phi(x) + phi(y)), abs=1e-13)
+
+    @given(cfs_evidence, cfs_evidence, cfs_evidence)
+    def test_a_fold_of_three_adds_their_evidence(self, x, y, z):
+        # a conflicting step divides by 1 - min(|x|, |y|) >= 0.001, so the
+        # few ulps of 1 that the first step may round off grow up to 1000x
+        # (targeted draws near +-0.999 reach 1.7e-13)
+        expected = phi_inv(phi(x) + phi(y) + phi(z))
+        assert _fold([x, y, z], 0, 3) == pytest.approx(expected, abs=1e-12)
 
 
 class TestCombineAll:

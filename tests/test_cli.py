@@ -154,6 +154,20 @@ class TestTrain:
         assert report["iterations"] == 0
         assert report["final"] == report["initial"]
 
+    def test_report_accuracy_scores_no_penalty(self, gen_dir, tmp_path, monkeypatch):
+        # the report reads only accuracy over the whole --data file; the
+        # trainer calls its own penalty binding, so only the CLI's count here
+        import cf_forge.cli as cli
+
+        calls = []
+        original = cli.penalty
+        monkeypatch.setattr(cli, "penalty", lambda *args: calls.append(args) or original(*args))
+        rc = run("train", "--rules", str(gen_dir / "rules.json"),
+                 "--data", str(gen_dir / "train.jsonl"), "--out", str(tmp_path / "run"),
+                 "--max-iters", "3")
+        assert rc == 0
+        assert calls == []
+
     def test_readme_walkthrough_converges(self, gen_dir, tmp_path):
         out = tmp_path / "run"
         rc = run("train", "--rules", str(gen_dir / "rules.json"),
@@ -364,6 +378,13 @@ class TestRobustness:
         assert line == "error: objective is inf, not finite, under penalty coefficient 1e+308"
         assert not (tmp_path / "out").exists()
 
+    def test_max_iters_message_names_only_max_iters(self, gen_dir, tmp_path, capsys):
+        rc = run("train", "--rules", str(gen_dir / "rules.json"),
+                 "--data", str(gen_dir / "train.jsonl"), "--max-iters", "0",
+                 "--out", str(tmp_path / "run"))
+        line = assert_one_error(capsys, rc)
+        assert "max_iters" in line and "max_backtracks" not in line
+
     @pytest.mark.parametrize("value", ["5", "1e300"])
     def test_fd_eps_above_one(self, gen_dir, tmp_path, capsys, value):
         # a probe step above 1 would evaluate weights outside [-1, 1]
@@ -374,11 +395,14 @@ class TestRobustness:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
-        "flags", [["--features", "1"], ["--shape", "tree", "--rules", "6"]],
-        ids=["one-feature", "tree-of-6"],
+        "flags",
+        [["--features", "1"], ["--shape", "tree", "--rules", "6"],
+         ["--features", "4", "--classes", "2", "--objects", "2", "--holdout", "0.9"]],
+        ids=["one-feature", "tree-of-6", "holdout-takes-all"],
     )
     def test_invalid_gen_spec_leaves_no_out_dir(self, tmp_path, capsys, flags):
-        # both specs are rejected by the generator, after the flags parse
+        # each spec is rejected after the flags parse: the first two by the
+        # generator, the last because 0.9 of 2 objects rounds to both
         rc = run("gen", *flags, "--out", str(tmp_path / "gen"))
         assert_one_error(capsys, rc)
         assert not (tmp_path / "gen").exists()

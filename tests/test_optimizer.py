@@ -219,6 +219,58 @@ class TestGradient:
             assert 0 < sum(s.contributions[slot] is not None for s in states) < len(data)
         return rb, data, states
 
+    @staticmethod
+    def mixed_firing_problem():
+        """The partly silent base with f000 made positive and f001 negative
+        on every object, and only one rule of each left trainable: r_f000_c0
+        fires on every object, r_f001_c0 on none, and every other trainable
+        rule on a strict subset."""
+        rb, data, _ = TestGradient.partly_silent_problem()
+        rng = random.Random(43)
+        for o in data:
+            o.facts["f000"] = rng.uniform(0.1, 1.0)
+            o.facts["f001"] = rng.uniform(-1.0, -0.1)
+        for r in rb.rules:
+            if r.antecedent.prop in ("f000", "f001") and r.consequent != "c0":
+                r.trainable = False
+        # a flat rule fires where its fact is above the threshold 0
+        fires = {r.id: sum(o.facts[r.antecedent.prop] > 0.0 for o in data)
+                 for r in rb.rules if r.trainable}
+        assert fires.pop("r_f000_c0") == len(data)
+        assert fires.pop("r_f001_c0") == 0
+        assert all(0 < n < len(data) for n in fires.values())
+        return rb, data
+
+    @pytest.mark.parametrize("scheme", ["forward", "central"])
+    def test_rules_firing_on_every_object_or_none_refold_the_terms(self, scheme, monkeypatch):
+        # margin_metric's probes re-score the objects a rule fires on,
+        # however many: every object for r_f000_c0 and none for r_f001_c0,
+        # so the only whole-metric call is the score before the gradient
+        import cf_forge.metric as metric
+
+        rb, data = self.mixed_firing_problem()
+        grads = [
+            {k: v.hex() for k, v in gradient(
+                rb, data, OptimizerConfig(fd_scheme=scheme, use_tms=tms)).items()}
+            for tms in (True, False)
+        ]
+        assert grads[0] == grads[1]
+        calls = []
+
+        def recording(evaluations, labels, classes, per_object=False):
+            calls.append((len(evaluations), per_object))
+            return margin_metric(evaluations, labels, classes, per_object)
+
+        monkeypatch.setattr(metric, "margin_metric", recording)
+        cfg = OptimizerConfig(fd_scheme=scheme)
+        assert {k: v.hex() for k, v in gradient(rb, data, cfg, recording).items()} == grads[0]
+        n, probes = len(data), 2 if scheme == "central" else 1
+        # the score, then the terms
+        assert calls[:2] == [(n, False), (n, True)]
+        assert all(per_object for _, per_object in calls[1:])
+        assert calls.count((0, True)) == probes
+        assert calls.count((n, True)) == 1 + probes
+
     @pytest.mark.parametrize("scheme", ["forward", "central"])
     def test_plug_ins_without_terms_give_the_same_gradient(self, scheme, monkeypatch):
         # margin_metric's probes re-score only the objects a rule fires on;
