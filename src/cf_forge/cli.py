@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import CfForgeError, NonFiniteObjective
+from .errors import CfForgeError, EmptyDataset, NonFiniteObjective
 from .metric import PenaltyConfig, accuracy, margin_metric, penalty
 from .model import (
     decode_json,
@@ -99,6 +99,8 @@ def cmd_gen(args) -> int:
     k = int(round(args.holdout * len(objects)))
     if k == len(objects):
         raise ValueError(f"--holdout {args.holdout!r} leaves none of the {k} objects for training")
+    if k == 0 and args.holdout > 0.0:
+        raise ValueError(f"--holdout {args.holdout!r} holds out none of the {len(objects)} objects")
     holdout, objects = objects[:k], objects[k:]
     out.mkdir(parents=True, exist_ok=True)
     if args.holdout > 0.0:
@@ -195,6 +197,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     rb = load_rulebase(args.rules)
     objects = load_dataset(args.data)
+    if not objects:  # no accuracy or metric describes an empty set
+        raise EmptyDataset(f"{args.data}: no objects to evaluate")
     problems = validate_dataset(rb, objects)
     if problems:
         for v in problems:

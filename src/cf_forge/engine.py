@@ -13,16 +13,18 @@ contribution in a flat list indexed by slot, and the threshold the pass
 fired under.
 
 ``perturb_weight`` is the incremental path: changing a single rule's weight
-re-fires only that rule and the rules downstream of its consequent, in one
-loop over the rule's cached closure plan, under the threshold the state's
-full pass used.  The first entry is the perturbed rule, which contributes
-the new weight times its antecedent CF; each later entry re-fires when its
-antecedent reads a proposition whose CF changed.  A re-fired rule reads its
-antecedent CF from the CF map as the full pass does, so a compound
-antecedent is evaluated again, and its consequent is refolded over its slot
-range [lo, hi), which replays exactly the fold sequence a full pass would
-execute.  Propagation stops only where a proposition's CF is bitwise
-unchanged, so incremental results are bit-identical to a fresh full pass.
+re-fires only that rule and the rules downstream of its consequent, walking
+the rule's cached closure plan under the threshold the state's full pass
+used.  The first entry is the perturbed rule, which contributes the new
+weight times its antecedent CF and re-fires before any loop; the rest of
+the plan is walked only when that changed its consequent's CF, and each
+later entry re-fires when its antecedent reads a proposition whose CF
+changed.  A re-fired rule reads its antecedent CF from the CF map as the
+full pass does, so a compound antecedent is evaluated again, and its
+consequent is refolded over its slot range [lo, hi), which replays exactly
+the fold sequence a full pass would execute.  Propagation stops only where
+a proposition's CF is bitwise unchanged, so incremental results are
+bit-identical to a fresh full pass.
 
 A state may opt in to prefix accumulators (``prefix``, an ``array('d')``):
 its full passes then record, before each slot k, the accumulator of slot
@@ -48,7 +50,8 @@ arithmetic and no firing, so the return to the pre-probe state is identical
 by construction.  A restore the log cannot serve (no pending log, another
 rule's log, or a weight whose contribution is not the one the log saved)
 re-fires the closure like a perturb.  A probe therefore costs one closure
-re-fire, not two.
+re-fire, not two: on a flat base, one refold of [start, hi) plus O(1)
+bookkeeping for the pair.
 
 ``combine_parallel`` and ``eval_expr`` are looked up as module globals at
 every call, so a wrapper installed on this module sees every combine and
@@ -229,56 +232,59 @@ def firing_states(
 def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weight: float) -> int:
     """Re-evaluate the state as if the rule's weight were ``new_weight``.
 
-    One loop walks the rule's closure plan under the threshold of the
-    state's full pass: the rule itself re-fires with ``new_weight`` (unless
-    it does not fire, when nothing changes), and each later rule re-fires
-    when its antecedent reads a proposition whose CF changed; every re-fire
-    refolds its consequent (from its prefix accumulator while the state
-    holds valid ones) and writes its contribution and CF.  The state is
-    updated in place, and every entry overwritten is recorded in a fresh
-    undo log (see restore_weight).  Returns the number of rules re-fired
-    (at most the size of the downstream closure).  The rule base itself is
-    not consulted for the perturbed rule's weight, so probing never
-    requires mutating the base.
+    The rule re-fires with ``new_weight`` under the threshold of the
+    state's full pass (unless it does not fire, when nothing changes).
+    Only when its consequent's CF changed does a loop walk the rest of the
+    rule's closure plan, re-firing each rule whose antecedent reads a
+    proposition whose CF changed.  Every re-fire refolds its consequent
+    (from its prefix accumulator while the state holds valid ones) and
+    writes its contribution and CF.  The state is updated in place, and
+    every entry overwritten is recorded in a fresh undo log (see
+    restore_weight).  Returns the number of rules re-fired (at most the
+    size of the downstream closure).  The rule base itself is not
+    consulted for the perturbed rule's weight, so probing never requires
+    mutating the base.
     """
-    plan = rb.closure_plan(rule_id)
+    # the cached plan without a method call; closure_plan builds a missing one
+    plan = rb._closure_plans.get(rule_id) or rb.closure_plan(rule_id)
     contrib = state.contributions
     if len(contrib) != len(rb.rules):
         raise _slots_disagree(state, len(rb.rules))
     prop_cf = state.prop_cf
-    _, leaf, _, _, slot, _, _, _ = plan[0]
+    _, leaf, cons, _, slot, lo, hi, start = plan[0]
     a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
     saved = contrib[slot]
-    threshold = state.threshold
-    firing = a > threshold
-    if firing != (saved is not None):
+    if (a > state.threshold) != (saved is not None):
         raise InconsistentState(f"rule {rule_id!r} firing status disagrees with stored contributions")
     pre = state.prefix
     undo = state.undo
     if pre and undo is not None and undo[3]:
         del pre[:]  # the pending log's writes are still in the state
-    log: list = []
-    state.undo = (rule_id, a, saved, log)
-    if not firing:
+    if saved is None:
+        state.undo = (rule_id, a, None, [])
         return 0  # weight is irrelevant while the rule does not fire
-    fired = 0
-    changed: set[str] = set()
-    for r, leaf, cons, refs, s, lo, hi, start in plan:
-        if not fired:  # the perturbed rule, firing as checked above
-            c = new_weight * a
-        elif changed.isdisjoint(refs):
-            continue
-        else:
+    old = prop_cf[cons]
+    log = [(slot, saved, cons, old)]
+    state.undo = (rule_id, a, saved, log)
+    contrib[slot] = new_weight * a
+    new = _fold(contrib, start, hi, pre[start]) if pre else _fold(contrib, lo, hi)
+    prop_cf[cons] = new
+    fired = 1
+    if len(plan) > 1 and new != old:
+        changed = {cons}
+        threshold = state.threshold
+        for r, leaf, cons, refs, s, lo, hi, start in plan[1:]:
+            if changed.isdisjoint(refs):
+                continue
             a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
-            c = r.weight * a if a > threshold else None
-        fired += 1
-        old = prop_cf[cons]
-        log.append((s, contrib[s], cons, old))
-        contrib[s] = c
-        new = _fold(contrib, start, hi, pre[start]) if pre else _fold(contrib, lo, hi)
-        prop_cf[cons] = new
-        if new != old:
-            changed.add(cons)
+            fired += 1
+            old = prop_cf[cons]
+            log.append((s, contrib[s], cons, old))
+            contrib[s] = r.weight * a if a > threshold else None
+            new = _fold(contrib, start, hi, pre[start]) if pre else _fold(contrib, lo, hi)
+            prop_cf[cons] = new
+            if new != old:
+                changed.add(cons)
     state.counters.rules_fired += fired
     return fired
 
@@ -299,7 +305,9 @@ def restore_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, old_weig
     undo = state.undo
     if undo is not None and undo[0] == rule_id:
         _, a, saved, log = undo
-        if saved is None or _same_bits(old_weight * a, saved):
+        c = old_weight * a
+        # == alone would let a -0.0 contribution stand in for +0.0
+        if saved is None or (c == saved and (c or copysign(1.0, c) == copysign(1.0, saved))):
             state.undo = None
             contrib = state.contributions
             prop_cf = state.prop_cf
@@ -308,11 +316,6 @@ def restore_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, old_weig
                 prop_cf[cons] = cf
             return 0
     return perturb_weight(state, rb, rule_id, old_weight)
-
-
-def _same_bits(x: float, y: float) -> bool:
-    # == alone would let a -0.0 contribution stand in for +0.0
-    return x == y and (x != 0.0 or copysign(1.0, x) == copysign(1.0, y))
 
 
 def classify(state: ObjectEvaluation, rb: RuleBase) -> str:

@@ -372,8 +372,11 @@ class _Session:
                     changed = states
                 else:
                     changed = [states[i] for i in firing]
+                # bound per probe, not at import, so a wrapper installed on
+                # this module still sees every call
+                rb, rule_id, perturb, restore = self.rb, rule.id, perturb_weight, restore_weight
                 for st in changed:
-                    perturb_weight(st, self.rb, rule.id, w_probe)
+                    perturb(st, rb, rule_id, w_probe)
                 if terms is None:
                     value = self.metric_fn(states, part.labels, self.classes).value
                 else:  # re-score only the changed objects, then refold every term
@@ -383,11 +386,11 @@ class _Session:
                         probed[i] = term
                     value = reduce(add, probed, 0.0)
                 if rule.bound_kind == SOFT:
-                    value += penalty(self.rb, self.cfg.penalty)
+                    value += penalty(rb, self.cfg.penalty)
                 else:  # the rule adds no penalty term at any weight
                     value += base_pen
                 for st in changed:
-                    restore_weight(st, self.rb, rule.id, old)
+                    restore(st, rb, rule_id, old)
             else:
                 value = self.score(self.train)[0]
         finally:

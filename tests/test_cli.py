@@ -11,8 +11,8 @@ import threading
 import pytest
 
 import cf_forge
-from cf_forge import load_rulebase
-from cf_forge.cli import _write_json, main
+from cf_forge import EmptyDataset, load_rulebase
+from cf_forge.cli import _write_json, build_parser, main
 from cf_forge.model import MAX_EXPR_DEPTH
 
 
@@ -254,6 +254,20 @@ class TestEval:
                  "--data", str(tmp_path / "missing.jsonl"))
         assert rc == 2
 
+    @pytest.mark.parametrize("content", ["", "\n\n"], ids=["0-byte", "blank-lines"])
+    def test_empty_dataset_exits_2(self, gen_dir, tmp_path, capsys, content):
+        # no accuracy describes a set with no objects; at 0.0 it read as
+        # every object wrong
+        data = tmp_path / "empty.jsonl"
+        data.write_text(content)
+        argv = ["eval", "--rules", str(gen_dir / "rules.json"), "--data", str(data),
+                "--out", str(tmp_path / "eval.json")]
+        assert "no objects" in assert_one_error(capsys, run(*argv))
+        assert not (tmp_path / "eval.json").exists()
+        args = build_parser().parse_args(argv)
+        with pytest.raises(EmptyDataset):
+            args.func(args)
+
 
 class TestBenchAndAudit:
     def test_bench_report_shape(self, tmp_path):
@@ -427,6 +441,15 @@ class TestRobustness:
         # would be ignored without a word
         rc = run("gen", "--rules", "5", *flags, "--out", str(tmp_path / "gen"))
         assert "--rules" in assert_one_error(capsys, rc)
+        assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize("value", ["0.01", "1e-300"])
+    def test_gen_holdout_that_holds_out_no_object(self, tmp_path, capsys, value):
+        # 0.01 of 20 objects rounds to none: the holdout.jsonl it asked for
+        # would be empty, a split no command can score
+        rc = run("gen", "--features", "6", "--classes", "2", "--objects", "20",
+                 "--holdout", value, "--out", str(tmp_path / "gen"))
+        assert "--holdout" in assert_one_error(capsys, rc)
         assert not (tmp_path / "gen").exists()
 
     @pytest.mark.parametrize("value", ["inf", "nan", "1.0", "-0.5"])

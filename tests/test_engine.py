@@ -186,8 +186,26 @@ class TestPerturb:
         st = evaluate_full(rb, obj)
         before = dict(st.prop_cf)
         fired = perturb_weight(st, rb, "r1", rb.rule("r1").weight)
-        assert fired <= 1
+        assert fired == 1  # p1 comes out bitwise unchanged: r2 and r3 stay
         assert st.prop_cf == before
+        assert len(st.undo[3]) == 1
+
+    def test_an_unchanged_consequent_stops_the_closure(self):
+        # r0 holds p1 at +1, which absorbs r1's contribution at any weight
+        rb = chain3_base()
+        props = list(rb.propositions.values()) + [Proposition("g", INPUT)]
+        rules = [Rule(id="r0", antecedent=Ref("g"), consequent="p1", weight=1.0)] + rb.rules
+        rb = RuleBase(props, rules)
+        obj = TrainingObject(id="o", facts={"f": 0.6, "g": 1.0}, label="c")
+        for prefix in (False, True):
+            st = evaluate(rb, obj, prefix=prefix)
+            before = bit_snapshot(st, rb)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = count_calls(mp, "combine_parallel")
+                assert perturb_weight(st, rb, "r1", 0.2) == 1
+            assert calls[0] == (1 if prefix else 2)  # the refold of p1 alone
+            assert bit_snapshot(st, rb)[0] == before[0]  # every CF, p1 included
+            assert bit_snapshot(st, rb) == bit_snapshot(full_oracle(rb, obj, "r1", 0.2), rb)
 
     def test_perturb_then_restore_is_identity(self):
         rng = random.Random(21)
@@ -533,12 +551,25 @@ class TestExactness:
             assert bit_snapshot(state, rb) == bit_snapshot(evaluate_full(rb, obj), rb)
 
     def test_restore_keeps_the_sign_of_a_zero_contribution(self):
-        # -0.0 == 0.0, so a log that saved 0.0 * a must not stand in for -0.0 * a
         rb = single_rule_base(weight=0.0)
         obj = TrainingObject(id="o", facts={"f": 0.5}, label="c")
+        # a zero weight, where training from the zero base starts: a restore
+        # to the zero the log saved replays it, with no combine
+        for zero in (0.0, -0.0):
+            rb.rule("r1").weight = zero
+            state = evaluate(rb, obj, prefix=True)
+            before = bit_snapshot(state, rb)
+            perturb_weight(state, rb, "r1", 0.4)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = count_calls(mp, "combine_parallel")
+                assert restore_weight(state, rb, "r1", zero) == 0
+            assert calls[0] == 0 and state.undo is None
+            assert bit_snapshot(state, rb) == before
+        # -0.0 == 0.0, so a log that saved 0.0 * a must not stand in for -0.0 * a
+        rb.rule("r1").weight = 0.0
         state = evaluate_full(rb, obj)
         perturb_weight(state, rb, "r1", 0.4)
-        restore_weight(state, rb, "r1", -0.0)
+        assert restore_weight(state, rb, "r1", -0.0) == 1
         rb.rule("r1").weight = -0.0
         assert bit_snapshot(state, rb) == bit_snapshot(evaluate_full(rb, obj), rb)
         assert str(snapshot(state, rb)[1]["c"]["r1"]) == "-0.0"
@@ -755,6 +786,16 @@ class TestCounters:
                 perturb_weight(state, rb, "r2", 0.2)
             assert calls[0] == combines
             assert bit_snapshot(state, rb) == bit_snapshot(full_oracle(rb, obj, "r2", 0.2), rb)
+        # a kept perturb leaves its log's writes in the state, so the next
+        # perturb empties the stale prefixes and refolds c from lo
+        state = evaluate(rb, obj, prefix=True)
+        perturb_weight(state, rb, "r0", 0.9)
+        rb.rule("r0").weight = 0.9
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_calls(mp, "combine_parallel")
+            assert perturb_weight(state, rb, "r2", 0.2) == 1
+        assert calls[0] == 3 and len(state.prefix) == 0
+        assert bit_snapshot(state, rb) == bit_snapshot(full_oracle(rb, obj, "r2", 0.2), rb)
 
 
 class TestClassify:

@@ -334,6 +334,59 @@ class TestGradient:
         pairs = sum(c is not None for s in states for c in s.contributions)
         assert len(calls) == pairs < len(rb.rules) * len(data)
 
+    def test_a_tracer_sees_every_probe_call_and_combine(self, monkeypatch):
+        # perfbench's tracer wraps these three names for the length of an op;
+        # a rewrite that binds them at import or inlines combine_parallel
+        # would hide calls from it
+        import cf_forge.engine as engine
+        import cf_forge.optimizer as optimizer
+
+        rb, _, objects, _ = generate(SynthSpec(features=6, classes=3, objects=12, seed=5))
+        rng = random.Random(5)
+        for r in rb.rules:
+            r.weight = rng.uniform(-0.9, 0.9)
+        counts = {"perturb_weight": 0, "restore_weight": 0, "combines": 0}
+        probing = [0]
+
+        def wrap_probe(name):
+            original = getattr(optimizer, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                probing[0] += 1
+                try:
+                    return original(*args)
+                finally:
+                    probing[0] -= 1
+
+            monkeypatch.setattr(optimizer, name, wrapper)
+
+        wrap_probe("perturb_weight")
+        wrap_probe("restore_weight")
+        combine = engine.combine_parallel
+
+        def counting_combine(x, y):
+            counts["combines"] += probing[0] > 0
+            return combine(x, y)
+
+        monkeypatch.setattr(engine, "combine_parallel", counting_combine)
+        gradient(rb, objects, OptimizerConfig())
+        # closed form from the stored contributions: a rule is probed on each
+        # object it fires in, and its perturb refolds the firing slots of
+        # [slot, hi) from the prefix before its slot; the restore replays
+        refires = rb.firing_plan().refires
+        states = [evaluate_full(rb, o) for o in objects]
+        pairs = combines = 0
+        for r in rb.rules:
+            _, _, _, _, slot, _, hi, _ = refires[r.id]
+            for contrib in (st.contributions for st in states):
+                if contrib[slot] is not None:
+                    pairs += 1
+                    combines += sum(c is not None for c in contrib[slot:hi])
+        assert counts["perturb_weight"] == counts["restore_weight"] == pairs
+        assert pairs < len(rb.rules) * len(objects)  # some probes are skipped
+        assert counts["combines"] == combines > pairs
+
     def test_overflowing_penalty_raises(self):
         # 1e308 x 1.5^2 overflows, so the objective at the weights is inf
         rb, data = one_rule_problem(weight=-1.0, bound_kind="soft", bounds=(0.5, 0.6))
