@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import CfForgeError, EmptyDataset, NonFiniteObjective
+from .errors import CfForgeError, NonFiniteObjective
 from .metric import PenaltyConfig, accuracy, margin_metric, penalty
 from .model import (
     decode_json,
@@ -33,6 +33,7 @@ from .optimizer import (
     OptimizerConfig,
     TrainingTrace,
     audit_budget,
+    holdout_size,
     run_gradient_bench,
     train_multi,
 )
@@ -96,11 +97,7 @@ def cmd_gen(args) -> int:
         seed=args.seed,
     )
     rb_zero, rb_expert, objects, _ = generate(spec)
-    k = int(round(args.holdout * len(objects)))
-    if k == len(objects):
-        raise ValueError(f"--holdout {args.holdout!r} leaves none of the {k} objects for training")
-    if k == 0 and args.holdout > 0.0:
-        raise ValueError(f"--holdout {args.holdout!r} holds out none of the {len(objects)} objects")
+    k = holdout_size(args.holdout, len(objects), "--holdout")
     holdout, objects = objects[:k], objects[k:]
     out.mkdir(parents=True, exist_ok=True)
     if args.holdout > 0.0:
@@ -121,32 +118,21 @@ def _full_pass(rb, objects, threshold: float) -> tuple[list, dict[str, str]]:
     return [evaluate_full(rb, o, policy) for o in objects], {o.id: o.label for o in objects}
 
 
-def _evaluate(rb, objects, mu: float, threshold: float, per_object: bool = False) -> dict:
-    states, labels = _full_pass(rb, objects, threshold)
-    m = margin_metric(states, labels, rb.output_classes, per_object=per_object)
-    p = penalty(rb, PenaltyConfig(coefficient=mu))
-    objective = m.value + p
-    if not math.isfinite(objective):
-        raise NonFiniteObjective("objective", objective, mu)
-    doc = {
-        "metric": m.value,
-        "penalty": p,
-        "objective": objective,
-        "accuracy": accuracy(states, labels, rb),
-    }
-    if per_object:
-        doc["per_object"] = m.per_object
-    return doc
+def _load_checked(args) -> tuple | None:
+    """The --rules base and --data objects, or None after printing each violation."""
+    rb = load_rulebase(args.rules)
+    objects = load_dataset(args.data)
+    problems = validate_dataset(rb, objects)
+    for v in problems:
+        print(f"error: {v}", file=sys.stderr)
+    return None if problems else (rb, objects)
 
 
 def cmd_train(args) -> int:
-    rb = load_rulebase(args.rules)
-    dataset = load_dataset(args.data)
-    problems = validate_dataset(rb, dataset)
-    if problems:
-        for v in problems:
-            print(f"error: {v}", file=sys.stderr)
+    loaded = _load_checked(args)
+    if loaded is None:
         return 2
+    rb, dataset = loaded
     cfg = OptimizerConfig(
         fd_eps=args.fd_eps,
         fd_scheme=args.fd,
@@ -158,8 +144,9 @@ def cmd_train(args) -> int:
         holdout_fraction=args.holdout,
         threshold=args.tau,
         penalty=PenaltyConfig(coefficient=args.mu),
-        train_only=tuple(args.train_only.split(",")) if args.train_only else None,
+        train_only=None if args.train_only is None else tuple(args.train_only.split(",")),
     )
+    holdout_size(args.holdout, len(dataset), "--holdout")  # the split train_multi rejects, by flag
     started = time.perf_counter()
     trained, trace, _ = train_multi(rb, dataset, cfg, margin_metric)
     wall = time.perf_counter() - started
@@ -195,16 +182,25 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    rb = load_rulebase(args.rules)
-    objects = load_dataset(args.data)
-    if not objects:  # no accuracy or metric describes an empty set
-        raise EmptyDataset(f"{args.data}: no objects to evaluate")
-    problems = validate_dataset(rb, objects)
-    if problems:
-        for v in problems:
-            print(f"error: {v}", file=sys.stderr)
+    loaded = _load_checked(args)
+    if loaded is None:
         return 2
-    _emit(_evaluate(rb, objects, args.mu, args.tau, per_object=args.per_object), args.out)
+    rb, objects = loaded
+    states, labels = _full_pass(rb, objects, args.tau)
+    m = margin_metric(states, labels, rb.output_classes, per_object=args.per_object)
+    p = penalty(rb, PenaltyConfig(coefficient=args.mu))
+    objective = m.value + p
+    if not math.isfinite(objective):
+        raise NonFiniteObjective("objective", objective, args.mu)
+    doc = {
+        "metric": m.value,
+        "penalty": p,
+        "objective": objective,
+        "accuracy": accuracy(states, labels, rb),
+    }
+    if args.per_object:
+        doc["per_object"] = m.per_object
+    _emit(doc, args.out)
     return 0
 
 

@@ -54,7 +54,7 @@ class UnknownLabel(CfForgeError):
 
 
 class EmptyDataset(CfForgeError):
-    """Training requires at least one training object."""
+    """A dataset, or a part of one, holds no object where one is needed."""
 
 
 class NoTrainableRules(CfForgeError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .engine import ObjectEvaluation, classify
-from .errors import UnknownLabel
+from .errors import EmptyDataset, UnknownLabel
 from .model import RuleBase, SOFT
 
 
@@ -115,8 +115,9 @@ def accuracy(
     labels: Mapping[str, str],
     rb: RuleBase,
 ) -> float:
-    """Fraction of objects whose argmax class matches their label."""
+    """Fraction of objects whose argmax class matches their label;
+    EmptyDataset for no objects, where 0.0 would read as every one wrong."""
     if not evaluations:
-        return 0.0
+        raise EmptyDataset("no objects to score: accuracy is undefined for an empty set")
     correct = sum(1 for ev in evaluations if classify(ev, rb) == labels[ev.object_id])
     return correct / len(evaluations)

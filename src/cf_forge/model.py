@@ -661,12 +661,17 @@ def load_dataset(path) -> list[TrainingObject]:
 
 
 def validate_dataset(rb: RuleBase, objects: Sequence[TrainingObject]) -> list[Violation]:
-    """Check dataset/rule-base agreement: labels are declared output
-    classes, fact keys are declared input propositions, values are CFs."""
+    """Check dataset/rule-base agreement: object ids are distinct, labels
+    are declared output classes, fact keys are declared input propositions,
+    values are CFs."""
     violations = []
     classes = set(rb.output_classes)
     inputs = {p.id for p in rb.propositions.values() if p.kind == INPUT}
+    seen = set()
     for obj in objects:
+        if obj.id in seen:
+            violations.append(Violation("DuplicateObjectId", f"object id {obj.id!r} appears more than once"))
+        seen.add(obj.id)
         if obj.label not in classes:
             violations.append(
                 Violation("UnknownLabel", f"object {obj.id!r} labeled {obj.label!r}, not an output class")

@@ -103,7 +103,7 @@ from .engine import (
     perturb_weight,
     restore_weight,
 )
-from .errors import EmptyDataset, NoTrainableRules, NonFiniteObjective, ParseError
+from .errors import CfForgeError, EmptyDataset, NoTrainableRules, NonFiniteObjective, ParseError
 from .metric import MetricFn, PenaltyConfig, margin_metric, penalty
 from .model import HARD, SOFT, Rule, RuleBase, TrainingObject, _take
 
@@ -283,7 +283,11 @@ class _Part:
 
     def __init__(self, objects: Sequence[TrainingObject]):
         self.objects = list(objects)
-        self.labels = {o.id: o.label for o in self.objects}
+        self.labels: dict[str, str] = {}
+        for o in self.objects:
+            if o.id in self.labels:
+                raise CfForgeError(f"object id {o.id!r} appears more than once")
+            self.labels[o.id] = o.label
         self.states = [ObjectEvaluation(o.id) for o in self.objects]
 
 
@@ -304,19 +308,15 @@ class _Session:
         budget: EvaluationBudget | None = None,
     ):
         if not objects:
-            raise EmptyDataset(
-                "holdout split left no training objects" if holdout
-                else "training needs at least one object"
-            )
+            raise EmptyDataset("training needs at least one object")
         self.rb = rb
         self.cfg = cfg
         self.metric_fn = metric_fn
         self.policy = FiringPolicy(threshold=cfg.threshold)
         self.classes = rb.output_classes
-        if cfg.train_only is not None:
-            for rid in cfg.train_only:
-                rb.rule(rid)
         only = cfg.train_only
+        for rid in only or ():
+            rb.rule(rid)  # raises UnknownRule
         self.trainable = [r for r in rb.rules if r.trainable and (only is None or r.id in only)]
         if not self.trainable:
             raise NoTrainableRules("no rule is trainable")
@@ -356,22 +356,20 @@ class _Session:
         w_probe: float,
         base_pen: float,
         terms: list[float] | None,
-        firing: Sequence[int],
+        firing: Sequence[int] | None,
     ) -> float:
         """Objective with one weight displaced, everything else fixed;
         ``base_pen`` is the penalty of the undisplaced base, ``terms`` its
         margin_metric terms (None for a plug-in or a one-object part) and
-        ``firing`` the positions of the training states the probe changes."""
+        ``firing`` the positions of the training states the probe changes
+        (None for every state)."""
         old = rule.weight
         rule.weight = w_probe
         try:
             if self.cfg.use_tms:
                 part = self.train
                 states = part.states
-                if len(firing) == len(states):
-                    changed = states
-                else:
-                    changed = [states[i] for i in firing]
+                changed = states if firing is None else [states[i] for i in firing]
                 # bound per probe, not at import, so a wrapper installed on
                 # this module still sees every call
                 rb, rule_id, perturb, restore = self.rb, rule.id, perturb_weight, restore_weight
@@ -406,7 +404,7 @@ class _Session:
         cfg = self.cfg
         h = cfg.fd_eps
         part = self.train
-        terms, firing = None, [range(len(part.states))] * len(self.trainable)
+        terms, firing = None, [None] * len(self.trainable)
         # every probe restores its states, so both hold for all of them.  A
         # one-object part skips the scan and every probe perturbs its state:
         # on the 2047-rule, one-object tree the scan builds 2047 lists per
@@ -551,15 +549,24 @@ def gradient(
     return {r.id: v for r, v in zip(sess.trainable, g)}
 
 
+def holdout_size(fraction: float, n: int, name: str = "holdout_fraction") -> int:
+    """round(fraction x n), the objects a holdout holds out of ``n``.  A
+    positive fraction that holds out none, or all and leaves none to train
+    on, raises EmptyDataset naming ``name`` (the CLI passes its flag)."""
+    k = int(round(fraction * n))
+    if fraction > 0.0 and k in (0, n):
+        what = "none" if k == 0 else "all"
+        raise EmptyDataset(f"{name} {fraction!r} holds out {what} of the {n} objects")
+    return k
+
+
 def _split_dataset(
     dataset: Sequence[TrainingObject], cfg: OptimizerConfig
 ) -> tuple[list[TrainingObject], list[TrainingObject]]:
-    if cfg.holdout_fraction <= 0.0:
-        return list(dataset), []
+    k = holdout_size(cfg.holdout_fraction, len(dataset))
     rng = random.Random(cfg.seed)
     idx = list(range(len(dataset)))
     rng.shuffle(idx)
-    k = int(round(cfg.holdout_fraction * len(dataset)))
     hold = sorted(idx[:k])
     train_idx = sorted(idx[k:])
     return [dataset[i] for i in train_idx], [dataset[i] for i in hold]
@@ -641,6 +648,8 @@ def run_gradient_bench(
     returning the engine's exact work counters (no wall-clock anywhere)."""
     from .synth import generate_shaped
 
+    if mode not in ("tms", "naive"):
+        raise ValueError(f"unknown bench mode {mode!r}")
     rb, objects = generate_shaped(n_rules, shape, seed)
     cfg = OptimizerConfig(use_tms=(mode == "tms"), seed=seed)
     sess = _Session(rb, objects, cfg, margin_metric)

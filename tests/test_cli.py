@@ -268,6 +268,18 @@ class TestEval:
         with pytest.raises(EmptyDataset):
             args.func(args)
 
+    def test_per_object_terms_fold_to_the_metric(self, gen_dir, tmp_path):
+        argv = ["eval", "--rules", str(gen_dir / "expert.json"), "--data", str(gen_dir / "train.jsonl")]
+        assert run(*argv, "--out", str(tmp_path / "eval.json")) == 0
+        assert run(*argv, "--per-object", "--out", str(tmp_path / "terms.json")) == 0
+        doc, terms = read_json(tmp_path / "eval.json"), read_json(tmp_path / "terms.json")
+        per_object = terms.pop("per_object")
+        assert terms == doc and len(per_object) == 100
+        total = 0.0
+        for term in per_object:  # a left fold from 0.0, in file order
+            total += term
+        assert total.hex() == doc["metric"].hex()
+
 
 class TestBenchAndAudit:
     def test_bench_report_shape(self, tmp_path):
@@ -358,8 +370,8 @@ class TestRobustness:
         assert_one_error(capsys, rc)
 
     @pytest.mark.parametrize(
-        "ids, unknown", [("nope", "nope"), ("r_f000_c0,", ""), (",", "")],
-        ids=["unknown", "trailing-comma", "comma"],
+        "ids, unknown", [("nope", "nope"), ("r_f000_c0,", ""), (",", ""), ("", "")],
+        ids=["unknown", "trailing-comma", "comma", "empty"],
     )
     def test_train_only_unknown_rule(self, gen_dir, tmp_path, capsys, ids, unknown):
         rc = run("train", "--rules", str(gen_dir / "rules.json"),
@@ -368,16 +380,33 @@ class TestRobustness:
         assert assert_one_error(capsys, rc) == f"error: unknown rule {unknown!r}"
 
     @pytest.mark.parametrize(
-        "flags", [["--train-only", "nope"], ["--holdout", "0.999"]],
+        "flags, named", [(["--train-only", "nope"], "'nope'"), (["--holdout", "0.999"], "--holdout")],
         ids=["unknown-rule", "holdout-takes-all"],
     )
-    def test_failed_train_leaves_no_out_dir(self, gen_dir, tmp_path, capsys, flags):
+    def test_failed_train_leaves_no_out_dir(self, gen_dir, tmp_path, capsys, flags, named):
         # both errors are raised when training starts, after the flags parse
         rc = run("train", "--rules", str(gen_dir / "rules.json"),
                  "--data", str(gen_dir / "train.jsonl"), *flags,
                  "--out", str(tmp_path / "run"))
-        assert_one_error(capsys, rc)
+        assert named in assert_one_error(capsys, rc)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_dataset_that_fails_validation(self, gen_dir, tmp_path, capsys, command):
+        data = tmp_path / "bad.jsonl"
+        data.write_text(
+            '{"id": "o1", "facts": {"f000": 0.5}, "label": "nope"}\n'
+            '{"id": "o2", "facts": {"c0": 0.5}, "label": "c0"}\n'
+        )
+        rc = run(command, "--rules", str(gen_dir / "rules.json"), "--data", str(data),
+                 "--out", str(tmp_path / "out"))
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: UnknownLabel: object 'o1' labeled 'nope', not an output class",
+            "error: UnknownFact: object 'o2' has fact for non-input 'c0'",
+        ]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_overflowing_penalty(self, gen_dir, tmp_path, capsys, command):
@@ -451,6 +480,18 @@ class TestRobustness:
                  "--holdout", value, "--out", str(tmp_path / "gen"))
         assert "--holdout" in assert_one_error(capsys, rc)
         assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize("value", ["0.01", "1e-300"])
+    def test_train_holdout_that_holds_out_no_object(self, tmp_path, capsys, value):
+        # the split gen rejects: training would go on with no holdout
+        data = tmp_path / "data"
+        assert run("gen", "--features", "6", "--classes", "2", "--objects", "20",
+                   "--out", str(data)) == 0
+        capsys.readouterr()
+        rc = run("train", "--rules", str(data / "rules.json"), "--data", str(data / "train.jsonl"),
+                 "--holdout", value, "--out", str(tmp_path / "run"))
+        assert assert_one_error(capsys, rc) == f"error: --holdout {float(value)!r} holds out none of the 20 objects"
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("value", ["inf", "nan", "1.0", "-0.5"])
     def test_gen_holdout_out_of_range(self, tmp_path, capsys, value):

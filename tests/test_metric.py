@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cf_forge import (
+    EmptyDataset,
     ObjectEvaluation,
     PenaltyConfig,
     Proposition,
@@ -192,3 +193,9 @@ class TestAccuracy:
             ["A", "B", "A", "B"],
         )
         assert accuracy(evs, labels, rb) == 0.75
+
+    def test_no_objects_raises(self):
+        # 0.0 would read as every object wrong
+        rb, evs, labels = self.make([], [])
+        with pytest.raises(EmptyDataset, match="no objects"):
+            accuracy(evs, labels, rb)

@@ -483,6 +483,8 @@ class TestDataset:
             TrainingObject(id="ok", facts={"f": 0.5}, label="c"),
             TrainingObject(id="bad_label", facts={"f": 0.5}, label="zzz"),
             TrainingObject(id="bad_fact", facts={"c": 0.5}, label="c"),
+            TrainingObject(id="ok", facts={"f": -0.5}, label="c"),
         ]
-        codes = [v.code for v in validate_dataset(rb, objs)]
-        assert codes == ["UnknownLabel", "UnknownFact"]
+        violations = validate_dataset(rb, objs)
+        assert [v.code for v in violations] == ["UnknownLabel", "UnknownFact", "DuplicateObjectId"]
+        assert "'ok'" in violations[-1].detail

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cf_forge import (
     And,
+    CfForgeError,
     EmptyDataset,
     EvaluationBudget,
     NoTrainableRules,
@@ -79,7 +80,10 @@ class TestConfig:
     @pytest.mark.parametrize(
         "name, value",
         [("fd_eps", 0.0), ("fd_eps", -1e-4), ("fd_eps", 1.0 + 1e-12), ("fd_eps", 5.0),
-         ("fd_eps", 1e300), ("armijo_c", -1e6), ("armijo_c", -1e-12), ("armijo_c", 1.0)],
+         ("fd_eps", 1e300), ("armijo_c", -1e6), ("armijo_c", -1e-12), ("armijo_c", 1.0),
+         ("fd_scheme", "backward"), ("step_init", 0.0), ("step_init", -0.5), ("shrink", 0.0),
+         ("shrink", 1.0), ("max_backtracks", -1), ("max_iters", 0), ("holdout_fraction", -0.1),
+         ("holdout_fraction", 1.0), ("multi_start", 0), ("tol_objective_window", 0)],
     )
     def test_out_of_range_rejected(self, name, value):
         # fd_eps > 1 probes weights outside [-1, 1]; armijo_c < 0 accepts a
@@ -88,7 +92,10 @@ class TestConfig:
             OptimizerConfig(**{name: value})
 
     @pytest.mark.parametrize(
-        "name, value", [("fd_eps", 1.0), ("armijo_c", 0.0), ("armijo_c", 0.999)]
+        "name, value",
+        [("fd_eps", 1.0), ("armijo_c", 0.0), ("armijo_c", 0.999), ("fd_scheme", "central"),
+         ("shrink", 0.999), ("max_backtracks", 0), ("max_iters", 1), ("holdout_fraction", 0.0),
+         ("holdout_fraction", 0.999), ("multi_start", 1), ("tol_objective_window", 1)],
     )
     def test_range_edges_accepted(self, name, value):
         assert getattr(OptimizerConfig(**{name: value}), name) == value
@@ -456,6 +463,27 @@ class TestTrain:
         rb, _ = one_rule_problem()
         with pytest.raises(EmptyDataset):
             train(rb, [])
+
+    @pytest.mark.parametrize("fraction, held", [(0.01, "none"), (0.99, "all")])
+    def test_holdout_that_holds_out_none_or_all(self, fraction, held):
+        # 0.01 of 20 objects rounds to none, 0.99 to every one
+        rb, _, data, _ = generate(SynthSpec(features=5, classes=2, objects=20, seed=4))
+        cfg = OptimizerConfig(seed=4, max_iters=2, holdout_fraction=fraction)
+        with pytest.raises(EmptyDataset, match=f"^holdout_fraction {fraction} holds out {held} of the 20"):
+            train(rb, data, cfg)
+
+    @pytest.mark.parametrize("run", [train, gradient], ids=["train", "gradient"])
+    def test_duplicate_object_ids_rejected(self, run):
+        # labels are keyed by id: both objects would train as the last label
+        props = [
+            Proposition("f", INPUT),
+            Proposition("c0", DERIVED, output_class=True),
+            Proposition("c1", DERIVED, output_class=True),
+        ]
+        rb = RuleBase(props, [Rule(id=f"r{i}", antecedent=Ref("f"), consequent=f"c{i}") for i in (0, 1)])
+        data = [TrainingObject(id="a", facts={"f": 1.0}, label=c) for c in ("c0", "c1")]
+        with pytest.raises(CfForgeError, match="object id 'a' appears more than once"):
+            run(rb, data)
 
     def test_input_rulebase_untouched(self):
         rb, data = one_rule_problem()
@@ -886,6 +914,10 @@ class TestPrefixes:
 
 
 class TestBench:
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="'fast'"):
+            run_gradient_bench("flat", 8, "fast")
+
     def test_flat_counts(self):
         tms = run_gradient_bench("flat", 32, "tms", seed=0)
         naive = run_gradient_bench("flat", 32, "naive", seed=0)
