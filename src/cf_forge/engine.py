@@ -53,6 +53,14 @@ re-fires the closure like a perturb.  A probe therefore costs one closure
 re-fire, not two: on a flat base, one refold of [start, hi) plus O(1)
 bookkeeping for the pair.
 
+``probe_consequent`` is the read-only probe, for a rule whose closure plan
+is the rule alone: no rule reads its consequent, so a displaced weight
+changes that one CF and nothing else.  Over many states it returns the CF
+perturb_weight would write into each, and writes nothing but the firing
+counter: no contribution, CF, undo log or prefix.  It fires and combines
+exactly as the perturb would, and the replayed restore does neither, so
+work counters read the same by either route.
+
 ``combine_parallel`` and ``eval_expr`` are looked up as module globals at
 every call, so a wrapper installed on this module sees every combine and
 every antecedent evaluation.
@@ -287,6 +295,47 @@ def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weig
                 changed.add(cons)
     state.counters.rules_fired += fired
     return fired
+
+
+def probe_consequent(
+    states: Sequence[ObjectEvaluation], rb: RuleBase, rule_id: str, new_weight: float
+) -> tuple[str, list[float]]:
+    """The rule's consequent and, per state, the CF perturb_weight(state,
+    rb, rule_id, new_weight) would give it, read without writing: the
+    accumulator before the rule's slot (its prefix while the state holds
+    valid ones, else the fold of [lo, slot)), combined with new_weight x
+    the antecedent CF, then the firing slots of (slot, hi).  For a rule
+    that does not fire that is the stored CF.  Only for a rule whose
+    closure plan is the rule alone (ValueError otherwise), where nothing
+    else can change.  The checks are perturb_weight's, and so is the
+    counting: one firing per state the rule fires in."""
+    plan = rb.closure_plan(rule_id)
+    if len(plan) != 1:
+        raise ValueError(f"rule {rule_id!r} has dependents; perturb_weight probes it")
+    _, leaf, cons, _, slot, lo, hi, _ = plan[0]
+    n_rules = len(rb.rules)
+    cfs = []
+    for state in states:
+        contrib = state.contributions
+        if len(contrib) != n_rules:
+            raise _slots_disagree(state, n_rules)
+        prop_cf = state.prop_cf
+        a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
+        fires = contrib[slot] is not None
+        if (a > state.threshold) != fires:
+            raise InconsistentState(f"rule {rule_id!r} firing status disagrees with stored contributions")
+        if not fires:
+            cfs.append(prop_cf[cons])
+            continue
+        pre = state.prefix
+        undo = state.undo
+        if pre and (undo is None or not undo[3]):  # no pending log's writes
+            acc = pre[slot]
+        else:
+            acc = _fold(contrib, lo, slot)
+        cfs.append(_fold(contrib, slot + 1, hi, combine_parallel(acc, new_weight * a)))
+        state.counters.rules_fired += 1
+    return cons, cfs
 
 
 def restore_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, old_weight: float) -> int:

@@ -15,8 +15,11 @@ probe re-score just the objects the probed rule fires on and refold the
 stored per-object terms: each of its terms depends only on its own
 object's evaluation, and its value is the left fold from 0.0 of the terms
 in object order, so the refold gives the very value a whole-metric call
-would.  A plug-in's terms promise neither (a mean's terms depend on the
-object count), so they are not used that way.  ``accuracy`` is a discrete
+would.  Each term is one ``margin_term`` call, which can read one
+proposition's CF from an argument instead of the evaluation, so a probe
+that changed only that CF re-scores an object without writing its state.
+A plug-in's terms promise neither (a mean's terms depend on the object
+count), so they are not used that way.  ``accuracy`` is a discrete
 diagnostic for reporting only; it is not continuous and must not be used
 as a training objective.
 """
@@ -79,17 +82,32 @@ def margin_metric(
         label = labels.get(ev.object_id)
         if label is None or label not in class_set:
             raise UnknownLabel(f"object {ev.object_id!r} has label {label!r}")
-        cf_true = ev.prop_cf[label]
-        term = 0.0
-        for cid in class_order:
-            if cid == label:
-                continue
-            d = 2.0 + (ev.prop_cf[cid] - cf_true)
-            term += d * d
+        term = margin_term(ev.prop_cf, label, class_order)
         total += term
         if terms is not None:
             terms.append(term)
     return MetricValue(value=total, per_object=terms)
+
+
+def margin_term(
+    prop_cf: Mapping[str, float],
+    label: str,
+    class_order: Sequence[str],
+    prop: str | None = None,
+    cf: float = 0.0,
+) -> float:
+    """One object's margin_metric term, classes in ``class_order`` (sorted),
+    reading each class CF from ``prop_cf``, except that proposition
+    ``prop``, when given, reads ``cf``: the term of the evaluation that
+    differs from ``prop_cf`` in that one CF."""
+    cf_true = cf if label == prop else prop_cf[label]
+    term = 0.0
+    for cid in class_order:
+        if cid == label:
+            continue
+        d = 2.0 + ((cf if cid == prop else prop_cf[cid]) - cf_true)
+        term += d * d
+    return term
 
 
 def penalty(rb: RuleBase, cfg: PenaltyConfig) -> float:

@@ -52,7 +52,17 @@ changed (all, some or none) and left-folds the terms, those replaced,
 from 0.0 in object order, which is the sum margin_metric itself makes.
 Any other plug-in, or a one-object part, gets one whole-metric call per
 probe: a plug-in's terms need not be per-object (a mean is not), so
-re-scoring a subset of objects could change them.  The gradient, and a
+re-scoring a subset of objects could change them.
+
+A probe takes one of two routes, chosen from the input.  When the terms
+exist and the probed rule's closure plan is the rule alone (no rule reads
+its consequent, as on a flat base), it only reads:
+``engine.probe_consequent`` gives the consequent's CF on each object the
+rule fires on, ``metric.margin_term`` re-scores each of those objects with
+that one CF substituted, and no state is written or restored.  Every other
+probe (a rule with dependents, a plug-in metric, a one-object part)
+perturbs the states it changes, scores them and restores them.  Both
+routes give the same value, firings and combines.  The gradient, and a
 probe of a rule that is not soft-bounded (it adds no penalty term at any
 weight), reuse the penalty of the score before it.  Only a soft-bounded probe
 rescans the rules.  A probe thus costs O(closure) firings on the objects
@@ -101,10 +111,11 @@ from .engine import (
     evaluate_full,
     firing_states,
     perturb_weight,
+    probe_consequent,
     restore_weight,
 )
 from .errors import CfForgeError, EmptyDataset, NoTrainableRules, NonFiniteObjective, ParseError
-from .metric import MetricFn, PenaltyConfig, margin_metric, penalty
+from .metric import MetricFn, PenaltyConfig, margin_metric, margin_term, penalty
 from .model import HARD, SOFT, Rule, RuleBase, TrainingObject, _take
 
 # clip interval of the Barzilai-Borwein first trial step
@@ -158,6 +169,8 @@ class OptimizerConfig:
             raise ValueError("tol_objective_window must be >= 1")
         if self.train_only is not None:
             self.train_only = tuple(self.train_only)
+            if not self.train_only:
+                raise ValueError("train_only lists no rule (None trains every rule)")
 
 
 @dataclass
@@ -283,11 +296,7 @@ class _Part:
 
     def __init__(self, objects: Sequence[TrainingObject]):
         self.objects = list(objects)
-        self.labels: dict[str, str] = {}
-        for o in self.objects:
-            if o.id in self.labels:
-                raise CfForgeError(f"object id {o.id!r} appears more than once")
-            self.labels[o.id] = o.label
+        self.labels = {o.id: o.label for o in self.objects}
         self.states = [ObjectEvaluation(o.id) for o in self.objects]
 
 
@@ -314,12 +323,18 @@ class _Session:
         self.metric_fn = metric_fn
         self.policy = FiringPolicy(threshold=cfg.threshold)
         self.classes = rb.output_classes
+        self.class_order = sorted(self.classes)  # margin_metric's term order
         only = cfg.train_only
         for rid in only or ():
             rb.rule(rid)  # raises UnknownRule
         self.trainable = [r for r in rb.rules if r.trainable and (only is None or r.id in only)]
         if not self.trainable:
             raise NoTrainableRules("no rule is trainable")
+        seen: set[str] = set()
+        for o in (*objects, *holdout):  # each part keys its labels by id
+            if o.id in seen:
+                raise CfForgeError(f"object id {o.id!r} appears more than once")
+            seen.add(o.id)
         self.train = _Part(objects)
         self.holdout = _Part(holdout)
         if cfg.use_tms:  # the training states are the ones probes perturb
@@ -362,7 +377,8 @@ class _Session:
         ``base_pen`` is the penalty of the undisplaced base, ``terms`` its
         margin_metric terms (None for a plug-in or a one-object part) and
         ``firing`` the positions of the training states the probe changes
-        (None for every state)."""
+        (None for every state).  With terms, a rule whose closure is itself
+        takes the read-only route (module docstring)."""
         old = rule.weight
         rule.weight = w_probe
         try:
@@ -370,25 +386,35 @@ class _Session:
                 part = self.train
                 states = part.states
                 changed = states if firing is None else [states[i] for i in firing]
-                # bound per probe, not at import, so a wrapper installed on
-                # this module still sees every call
-                rb, rule_id, perturb, restore = self.rb, rule.id, perturb_weight, restore_weight
-                for st in changed:
-                    perturb(st, rb, rule_id, w_probe)
-                if terms is None:
-                    value = self.metric_fn(states, part.labels, self.classes).value
-                else:  # re-score only the changed objects, then refold every term
+                rb, rule_id = self.rb, rule.id
+                if terms is not None and len(rb.closure_plan(rule_id)) == 1:
+                    # only the consequent's CF moves: read it, write nothing
+                    cons, cfs = probe_consequent(changed, rb, rule_id, w_probe)
                     probed = terms.copy()
-                    mv = self.metric_fn(changed, part.labels, self.classes, per_object=True)
-                    for i, term in zip(firing, mv.per_object):
-                        probed[i] = term
+                    labels, order = part.labels, self.class_order
+                    for i, st, cf in zip(firing, changed, cfs):
+                        probed[i] = margin_term(st.prop_cf, labels[st.object_id], order, cons, cf)
                     value = reduce(add, probed, 0.0)
+                else:
+                    # bound per probe, not at import, so a wrapper installed
+                    # on this module still sees every call
+                    perturb, restore = perturb_weight, restore_weight
+                    for st in changed:
+                        perturb(st, rb, rule_id, w_probe)
+                    if terms is None:
+                        value = self.metric_fn(states, part.labels, self.classes).value
+                    else:  # re-score only the changed objects, then refold every term
+                        probed = terms.copy()
+                        mv = self.metric_fn(changed, part.labels, self.classes, per_object=True)
+                        for i, term in zip(firing, mv.per_object):
+                            probed[i] = term
+                        value = reduce(add, probed, 0.0)
+                    for st in changed:
+                        restore(st, rb, rule_id, old)
                 if rule.bound_kind == SOFT:
                     value += penalty(rb, self.cfg.penalty)
                 else:  # the rule adds no penalty term at any weight
                     value += base_pen
-                for st in changed:
-                    restore(st, rb, rule_id, old)
             else:
                 value = self.score(self.train)[0]
         finally:

@@ -344,6 +344,34 @@ class TestPerturb:
         with pytest.raises(UnknownRule):
             engine.firing_states(states, rb, ["ghost"])
 
+    def test_probe_consequent_checks_like_perturb(self):
+        rb = single_rule_base()
+        facts = [0.5, -0.4, 0.9]
+        states = [
+            evaluate_full(rb, TrainingObject(id=f"o{i}", facts={"f": f}, label="c"))
+            for i, f in enumerate(facts)
+        ]
+        assert engine.probe_consequent(states, rb, "r1", 0.5) == ("c", [0.25, 0.0, 0.45])
+        other = evaluate_full(chain3_base(), TrainingObject(id="o", facts={"f": 0.6}, label="c"))
+        with pytest.raises(InconsistentState):  # three rule slots, not one
+            engine.probe_consequent([other], rb, "r1", 0.5)
+        with pytest.raises(InconsistentState):  # never evaluated
+            engine.probe_consequent([engine.ObjectEvaluation("o")], rb, "r1", 0.5)
+        for i, stale in ((0, None), (1, 0.1)):  # fires with no contribution, and silent with one
+            saved = states[i].contributions[0]
+            states[i].contributions[0] = stale
+            with pytest.raises(InconsistentState, match="firing status"):
+                engine.probe_consequent(states, rb, "r1", 0.5)
+            states[i].contributions[0] = saved
+        # r1 and r2 have dependents: their probes re-fire a closure
+        chain = chain3_base()
+        for rule_id in ("r1", "r2"):
+            with pytest.raises(ValueError, match="has dependents"):
+                engine.probe_consequent([], chain, rule_id, 0.5)
+        with pytest.raises(UnknownRule):
+            engine.probe_consequent([], rb, "ghost", 0.5)
+        assert engine.probe_consequent([], chain, "r3", 0.5) == ("c", [])
+
     # full: re-evaluate one object into its state, which clears its log;
     # perturb: displace a rule on every state and keep the weight;
     # restore: return the last displaced rule to its weight before it
@@ -556,6 +584,66 @@ class TestExactness:
                     pending = None
                 rule.weight = target
             assert bit_snapshot(state, rb) == bit_snapshot(evaluate_full(rb, obj), rb)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        threshold=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+        ),
+        pick=st.integers(min_value=0),
+        w=st.floats(min_value=-1.0, max_value=1.0),
+        kept=st.booleans(),
+    )
+    def test_probe_consequent_reads_what_perturb_writes(self, seed, threshold, pick, w, kept):
+        """For a rule whose closure is itself, the read-only probe returns
+        the consequent CF perturb_weight writes, on every state, and leaves
+        each state as it was but for one firing per state the rule fires
+        in.  States keep valid, emptied or no prefix accumulators; with
+        ``kept`` each holds a kept perturb's pending log first, which makes
+        its prefixes stale."""
+        rng = random.Random(seed)
+        rb = random_rulebase(rng, max_rules=40)
+        policy = FiringPolicy(threshold=threshold)
+        states, objs = [], [random_object(rng, rb, f"o{i}") for i in range(rng.randint(2, 5))]
+        for obj in objs:
+            mode = rng.choice(["valid", "emptied", "none"])
+            state = evaluate(rb, obj, policy, prefix=mode != "none")
+            if mode == "emptied":
+                del state.prefix[:]
+            states.append(state)
+        if kept:
+            other = rng.choice(rb.rules)
+            w_kept = rng.uniform(-1.0, 1.0)
+            for state in states:
+                perturb_weight(state, rb, other.id, w_kept)
+            other.weight = w_kept
+        # every rule of the deepest level present has a closure of one rule
+        flat = [r for r in rb.rules if len(rb.closure_plan(r.id)) == 1]
+        assert flat
+        rule = flat[pick % len(flat)]
+
+        def raw(state):
+            hx = lambda v: None if v is None else v.hex()
+            undo = state.undo
+            return (
+                {k: v.hex() for k, v in state.prop_cf.items()},
+                [hx(c) for c in state.contributions],
+                None if state.prefix is None else [v.hex() for v in state.prefix],
+                None if undo is None else (undo[0], hx(undo[1]), hx(undo[2]),
+                                           [(s, hx(c), p, hx(cf)) for s, c, p, cf in undo[3]]),
+            )
+
+        before = [raw(state) for state in states]
+        fired = [state.counters.rules_fired for state in states]
+        cons, cfs = engine.probe_consequent(states, rb, rule.id, w)
+        assert cons == rule.consequent and len(cfs) == len(states)
+        assert [raw(state) for state in states] == before
+        for state, cf, n in zip(states, cfs, fired):
+            probed = state.counters.rules_fired - n
+            assert perturb_weight(state, rb, rule.id, w) == probed
+            assert state.prop_cf[cons].hex() == cf.hex()
 
     def test_restore_keeps_the_sign_of_a_zero_contribution(self):
         rb = single_rule_base(weight=0.0)

@@ -1,0 +1,38 @@
+"""Golden outputs: a fixed-seed run writes the same bytes across commits.
+
+The ROADMAP's contract says incremental re-evaluation changes cost, never
+results.  These digests pin the ``trace.json`` and ``trained.json`` of
+test_portability's fixed-seed ``gen`` + ``train`` (forward differences,
+two starts, a 0.2 holdout), and of the same train with central
+differences, so a change to the probe or full-pass machinery that moves a
+single bit fails here.  A change that is meant to alter results updates
+the digests and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from cf_forge.cli import main
+from test_portability import GEN, OUTPUTS, TRAIN
+
+GOLDEN = {
+    "forward": {
+        "trace.json": "cd221d9fa79ed805f9d66c1b20e7ff6cd50e21cc31bd0f1e8ecf104fa6a26b9c",
+        "trained.json": "4d33efd0c68b717260ec0c6224543f6854bb58deb0cecf8cc751139db74fe715",
+    },
+    "central": {
+        "trace.json": "35180b45d9ac46372b3c7ea3dc325d91551360711f87a716cab1e533fa008c5a",
+        "trained.json": "8fec2b7ac6b8ff53a0c52d3cb4c0198fa4a3c8db8f84f2d5d6ce06290b93528f",
+    },
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(GOLDEN))
+def test_fixed_seed_train_writes_the_pinned_bytes(scheme, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(GEN) == 0
+    assert main([*TRAIN, "--fd", scheme]) == 0
+    got = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+           for name in OUTPUTS}
+    assert got == GOLDEN[scheme]

@@ -35,6 +35,7 @@ from cf_forge import (
 from cf_forge.metric import MetricValue, margin_metric
 from cf_forge.model import DERIVED, INPUT
 from cf_forge.optimizer import BB_STEP_MAX, BB_STEP_MIN, _bb_step, _Session, _split_dataset
+from helpers import random_object, random_rulebase
 
 
 DELETE = object()  # marks a trace field to remove rather than replace
@@ -83,7 +84,8 @@ class TestConfig:
          ("fd_eps", 1e300), ("armijo_c", -1e6), ("armijo_c", -1e-12), ("armijo_c", 1.0),
          ("fd_scheme", "backward"), ("step_init", 0.0), ("step_init", -0.5), ("shrink", 0.0),
          ("shrink", 1.0), ("max_backtracks", -1), ("max_iters", 0), ("holdout_fraction", -0.1),
-         ("holdout_fraction", 1.0), ("multi_start", 0), ("tol_objective_window", 0)],
+         ("holdout_fraction", 1.0), ("multi_start", 0), ("tol_objective_window", 0),
+         ("train_only", ()), ("train_only", [])],
     )
     def test_out_of_range_rejected(self, name, value):
         # fd_eps > 1 probes weights outside [-1, 1]; armijo_c < 0 accepts a
@@ -95,7 +97,8 @@ class TestConfig:
         "name, value",
         [("fd_eps", 1.0), ("armijo_c", 0.0), ("armijo_c", 0.999), ("fd_scheme", "central"),
          ("shrink", 0.999), ("max_backtracks", 0), ("max_iters", 1), ("holdout_fraction", 0.0),
-         ("holdout_fraction", 0.999), ("multi_start", 1), ("tol_objective_window", 1)],
+         ("holdout_fraction", 0.999), ("multi_start", 1), ("tol_objective_window", 1),
+         ("train_only", None), ("train_only", ("r1",))],
     )
     def test_range_edges_accepted(self, name, value):
         assert getattr(OptimizerConfig(**{name: value}), name) == value
@@ -212,6 +215,25 @@ class TestGradient:
             k: v.hex() for k, v in grads[1].items()
         }
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           scheme=st.sampled_from(["forward", "central"]),
+           threshold=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5,
+                                                       exclude_min=True, exclude_max=True)))
+    def test_both_probe_routes_give_the_naive_gradient(self, seed, scheme, threshold):
+        # on a layered base over several objects, a probe of a rule no other
+        # rule reads only reads the states, and every other probe perturbs
+        # and restores them; one gradient mixes both routes
+        rng = random.Random(seed)
+        rb = random_rulebase(rng, max_rules=30)
+        data = [random_object(rng, rb, f"o{i}") for i in range(rng.randint(2, 6))]
+        grads = [
+            {k: v.hex() for k, v in gradient(rb, data, OptimizerConfig(
+                fd_scheme=scheme, use_tms=tms, threshold=threshold)).items()}
+            for tms in (True, False)
+        ]
+        assert grads[0] == grads[1]
+
     @staticmethod
     def partly_silent_problem():
         """A flat base whose every rule fires on some objects and is silent
@@ -248,11 +270,27 @@ class TestGradient:
         assert all(0 < n < len(data) for n in fires.values())
         return rb, data
 
+    @staticmethod
+    def record_probes(monkeypatch):
+        """Record (rule id, number of states) for every read-only probe."""
+        import cf_forge.optimizer as optimizer
+
+        probes = []
+        original = optimizer.probe_consequent
+
+        def recording(states, rb, rule_id, w):
+            probes.append((rule_id, len(states)))
+            return original(states, rb, rule_id, w)
+
+        monkeypatch.setattr(optimizer, "probe_consequent", recording)
+        return probes
+
     @pytest.mark.parametrize("scheme", ["forward", "central"])
     def test_rules_firing_on_every_object_or_none_refold_the_terms(self, scheme, monkeypatch):
-        # margin_metric's probes re-score the objects a rule fires on,
-        # however many: every object for r_f000_c0 and none for r_f001_c0,
-        # so the only whole-metric call is the score before the gradient
+        # margin_metric's probes read the objects a rule fires on, however
+        # many: every object for r_f000_c0 and none for r_f001_c0, and refold
+        # the terms, so the only whole-metric calls are the score before the
+        # gradient and its terms
         import cf_forge.metric as metric
 
         rb, data = self.mixed_firing_problem()
@@ -269,20 +307,20 @@ class TestGradient:
             return margin_metric(evaluations, labels, classes, per_object)
 
         monkeypatch.setattr(metric, "margin_metric", recording)
+        probes = self.record_probes(monkeypatch)
         cfg = OptimizerConfig(fd_scheme=scheme)
         assert {k: v.hex() for k, v in gradient(rb, data, cfg, recording).items()} == grads[0]
-        n, probes = len(data), 2 if scheme == "central" else 1
-        # the score, then the terms
-        assert calls[:2] == [(n, False), (n, True)]
-        assert all(per_object for _, per_object in calls[1:])
-        assert calls.count((0, True)) == probes
-        assert calls.count((n, True)) == 1 + probes
+        n, per_rule = len(data), 2 if scheme == "central" else 1
+        assert calls == [(n, False), (n, True)]  # the score, then the terms
+        assert probes.count(("r_f000_c0", n)) == probes.count(("r_f001_c0", 0)) == per_rule
+        assert len(probes) == per_rule * sum(r.trainable for r in rb.rules)
 
     @pytest.mark.parametrize("scheme", ["forward", "central"])
     def test_plug_ins_without_terms_give_the_same_gradient(self, scheme, monkeypatch):
-        # margin_metric's probes re-score only the objects a rule fires on;
-        # neither of the last two plug-ins is margin_metric, so each of
-        # their probes re-scores every object with one whole-metric call
+        # margin_metric's probes read only the objects a rule fires on and
+        # call no metric; neither of the last two plug-ins is margin_metric,
+        # so each of their probes re-scores every object with one
+        # whole-metric call and reads no probe
         import cf_forge.metric as metric
 
         sizes = []
@@ -292,21 +330,28 @@ class TestGradient:
             return margin_metric(evaluations, labels, classes, per_object)
 
         def positional(evaluations, labels, classes):
+            sizes.append(len(evaluations))
             return margin_metric(evaluations, labels, classes)
 
         def keywords(evaluations, labels, classes, **kwargs):
+            sizes.append(len(evaluations))
             return MetricValue(margin_metric(evaluations, labels, classes).value, per_object=None)
 
         rb, data, _ = self.partly_silent_problem()
+        n, probes_per_gradient = len(data), (2 if scheme == "central" else 1) * len(rb.rules)
         cfg = OptimizerConfig(fd_scheme=scheme)
         expected = {k: v.hex() for k, v in gradient(rb, data, cfg).items()}
+        probes = self.record_probes(monkeypatch)
         # a wrapper installed on the metric module, as a profiler installs
-        # one, keeps margin_metric's subset re-scoring
+        # one, keeps margin_metric's read-only probes
         monkeypatch.setattr(metric, "margin_metric", recording)
         assert {k: v.hex() for k, v in gradient(rb, data, cfg, recording).items()} == expected
-        assert min(sizes) < len(data)
+        assert sizes == [n, n] and len(probes) == probes_per_gradient
+        assert min(size for _, size in probes) < n
         for metric_fn in (positional, keywords):
+            del sizes[:], probes[:]
             assert {k: v.hex() for k, v in gradient(rb, data, cfg, metric_fn).items()} == expected
+            assert sizes == [n] * (1 + probes_per_gradient) and probes == []
 
     @pytest.mark.parametrize("scheme", ["forward", "central"])
     def test_a_mean_plug_in_gets_the_naive_gradient(self, scheme):
@@ -329,58 +374,22 @@ class TestGradient:
         assert grads[0] == grads[1]
 
     def test_probes_perturb_only_the_objects_a_rule_fires_on(self, monkeypatch):
-        import cf_forge.optimizer as optimizer
-
         rb, data, states = self.partly_silent_problem()
-        calls = []
-        original = optimizer.perturb_weight
-        monkeypatch.setattr(
-            optimizer, "perturb_weight", lambda st, *args: calls.append(st) or original(st, *args)
-        )
-        gradient(rb, data, OptimizerConfig(fd_scheme="forward"))
+        counts = self.traced_probes(monkeypatch, rb, data)
         pairs = sum(c is not None for s in states for c in s.contributions)
-        assert len(calls) == pairs < len(rb.rules) * len(data)
+        assert counts["states"] == pairs < len(rb.rules) * len(data)
+        assert counts["perturb_weight"] == 0  # every closure is its rule: no probe writes a state
 
-    def test_a_tracer_sees_every_probe_call_and_combine(self, monkeypatch):
-        # perfbench's tracer wraps these three names for the length of an op;
-        # a rewrite that binds them at import or inlines combine_parallel
-        # would hide calls from it
-        import cf_forge.engine as engine
-        import cf_forge.optimizer as optimizer
-
+    @staticmethod
+    def flat_probe_problem():
+        """A flat base, each rule's weight drawn, and the closed form of its
+        probes' work: the (rule, object) pairs a rule fires in, and the
+        combines that refold the firing slots of [slot, hi) from the prefix
+        before each such rule's slot."""
         rb, _, objects, _ = generate(SynthSpec(features=6, classes=3, objects=12, seed=5))
         rng = random.Random(5)
         for r in rb.rules:
             r.weight = rng.uniform(-0.9, 0.9)
-        counts = {"perturb_weight": 0, "restore_weight": 0, "combines": 0}
-        probing = [0]
-
-        def wrap_probe(name):
-            original = getattr(optimizer, name)
-
-            def wrapper(*args):
-                counts[name] += 1
-                probing[0] += 1
-                try:
-                    return original(*args)
-                finally:
-                    probing[0] -= 1
-
-            monkeypatch.setattr(optimizer, name, wrapper)
-
-        wrap_probe("perturb_weight")
-        wrap_probe("restore_weight")
-        combine = engine.combine_parallel
-
-        def counting_combine(x, y):
-            counts["combines"] += probing[0] > 0
-            return combine(x, y)
-
-        monkeypatch.setattr(engine, "combine_parallel", counting_combine)
-        gradient(rb, objects, OptimizerConfig())
-        # closed form from the stored contributions: a rule is probed on each
-        # object it fires in, and its perturb refolds the firing slots of
-        # [slot, hi) from the prefix before its slot; the restore replays
         refires = rb.firing_plan().refires
         states = [evaluate_full(rb, o) for o in objects]
         pairs = combines = 0
@@ -390,9 +399,70 @@ class TestGradient:
                 if contrib[slot] is not None:
                     pairs += 1
                     combines += sum(c is not None for c in contrib[slot:hi])
-        assert counts["perturb_weight"] == counts["restore_weight"] == pairs
         assert pairs < len(rb.rules) * len(objects)  # some probes are skipped
-        assert counts["combines"] == combines > pairs
+        assert combines > pairs
+        return rb, objects, pairs, combines
+
+    @staticmethod
+    def traced_probes(monkeypatch, rb, objects, metric_fn=margin_metric):
+        """One gradient with the probe routines and combine_parallel wrapped
+        at the names their callers look up, as perfbench's tracer wraps
+        perturb_weight, restore_weight and combine_parallel: the calls of
+        each routine, the states read-only probes were given, and the
+        combines made inside a probe.  A rewrite that binds these names at
+        import or inlines combine_parallel would hide calls from a tracer."""
+        import cf_forge.engine as engine
+        import cf_forge.optimizer as optimizer
+
+        names = ("perturb_weight", "restore_weight", "probe_consequent")
+        counts = dict.fromkeys(names, 0)
+        counts["states"] = counts["combines"] = 0
+        probing = [0]
+
+        def wrap_probe(name):
+            original = getattr(optimizer, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                if name == "probe_consequent":
+                    counts["states"] += len(args[0])
+                probing[0] += 1
+                try:
+                    return original(*args)
+                finally:
+                    probing[0] -= 1
+
+            monkeypatch.setattr(optimizer, name, wrapper)
+
+        for name in names:
+            wrap_probe(name)
+        combine = engine.combine_parallel
+
+        def counting_combine(x, y):
+            counts["combines"] += probing[0] > 0
+            return combine(x, y)
+
+        monkeypatch.setattr(engine, "combine_parallel", counting_combine)
+        gradient(rb, objects, OptimizerConfig(), metric_fn)
+        return counts
+
+    def test_a_tracer_sees_every_probe_call_and_combine(self, monkeypatch):
+        # a plug-in metric has no terms, so its probes perturb; each refolds
+        # the same slots as a read-only probe, and the restore replays
+        rb, objects, pairs, combines = self.flat_probe_problem()
+        plug_in = lambda evaluations, labels, classes: margin_metric(evaluations, labels, classes)
+        counts = self.traced_probes(monkeypatch, rb, objects, plug_in)
+        assert counts["perturb_weight"] == counts["restore_weight"] == pairs
+        assert counts["probe_consequent"] == 0
+        assert counts["combines"] == combines
+
+    def test_a_tracer_sees_every_read_only_probe_and_combine(self, monkeypatch):
+        # margin_metric's probes of a flat base read: one call per probe
+        rb, objects, pairs, combines = self.flat_probe_problem()
+        counts = self.traced_probes(monkeypatch, rb, objects)
+        assert counts["perturb_weight"] == counts["restore_weight"] == 0
+        assert counts["probe_consequent"] == len(rb.rules) and counts["states"] == pairs
+        assert counts["combines"] == combines
 
     def test_overflowing_penalty_raises(self):
         # 1e308 x 1.5^2 overflows, so the objective at the weights is inf
@@ -484,6 +554,16 @@ class TestTrain:
         data = [TrainingObject(id="a", facts={"f": 1.0}, label=c) for c in ("c0", "c1")]
         with pytest.raises(CfForgeError, match="object id 'a' appears more than once"):
             run(rb, data)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duplicate_object_ids_rejected_across_the_holdout_split(self, seed):
+        # the seeded shuffle puts the two objects in one part or in two;
+        # either way the dataset is rejected
+        rb, _, data, _ = generate(SynthSpec(features=4, classes=2, objects=10, seed=2))
+        data[1] = TrainingObject(id=data[0].id, facts=data[1].facts, label=data[1].label)
+        cfg = OptimizerConfig(seed=seed, max_iters=1, holdout_fraction=0.3)
+        with pytest.raises(CfForgeError, match=f"object id {data[0].id!r} appears more than once"):
+            train_multi(rb, data, cfg)
 
     def test_input_rulebase_untouched(self):
         rb, data = one_rule_problem()
