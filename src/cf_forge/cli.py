@@ -308,6 +308,9 @@ def main(argv=None) -> int:
     except (CfForgeError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -36,11 +36,6 @@ the same combines on the same values.  The prefixes hold the last full
 pass's contributions, so a perturb that starts while a non-empty undo log
 is pending (a kept perturb, or a restore that re-fired) empties them, and
 re-fires fold from lo, from 0.0, until the next full pass refills them.
-``firing_states`` tells, for each of several rules, which of many states
-it fires in, so a caller can perturb only those: the others would not
-change.  It reads the status each state's full pass (or a later perturb)
-stored, a contribution that is not None, and evaluates no antecedent;
-perturb_weight re-checks it on every state it perturbs.
 
 Every perturb records what it overwrites in an undo log on the state, one
 entry per re-fire: (slot, old contribution, consequent, old CF).  Each
@@ -55,11 +50,13 @@ bookkeeping for the pair.
 
 ``probe_consequent`` is the read-only probe, for a rule whose closure plan
 is the rule alone: no rule reads its consequent, so a displaced weight
-changes that one CF and nothing else.  Over many states it returns the CF
-perturb_weight would write into each, and writes nothing but the firing
-counter: no contribution, CF, undo log or prefix.  It fires and combines
-exactly as the perturb would, and the replayed restore does neither, so
-work counters read the same by either route.
+changes that one CF and nothing else.  Given every state, it finds the
+ones the rule fires in from the contributions they stored (a silent rule
+changes nothing), returns the CF perturb_weight would write into each, and
+writes nothing but the firing counter: no contribution, CF, undo log or
+prefix.  It fires and combines exactly as the perturb would, and the
+replayed restore does neither, so work counters read the same by either
+route.
 
 ``combine_parallel`` and ``eval_expr`` are looked up as module globals at
 every call, so a wrapper installed on this module sees every combine and
@@ -213,30 +210,6 @@ def _slots_disagree(state: ObjectEvaluation, n_rules: int) -> InconsistentState:
     )
 
 
-def firing_states(
-    states: Sequence[ObjectEvaluation], rb: RuleBase, rule_ids: Sequence[str]
-) -> list[list[int]]:
-    """For each rule id, the positions, in order, of the states whose
-    stored contribution at the rule's slot is not None: the states the rule
-    fires in, as their last full pass or perturb decided, and the only ones
-    a perturb of its weight changes.  No antecedent is evaluated again;
-    perturb_weight checks the firing status of every state it perturbs."""
-    refires = rb.firing_plan().refires
-    n_rules = len(rb.rules)
-    for state in states:
-        if len(state.contributions) != n_rules:
-            raise _slots_disagree(state, n_rules)
-    contribs = [state.contributions for state in states]
-    out: list[list[int]] = []
-    for rule_id in rule_ids:
-        entry = refires.get(rule_id)
-        if entry is None:
-            rb.rule(rule_id)  # raises UnknownRule
-        slot = entry[4]
-        out.append([i for i, c in enumerate(contribs) if c[slot] is not None])
-    return out
-
-
 def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weight: float) -> int:
     """Re-evaluate the state as if the rule's weight were ``new_weight``.
 
@@ -248,10 +221,10 @@ def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weig
     (from its prefix accumulator while the state holds valid ones) and
     writes its contribution and CF.  The state is updated in place, and
     every entry overwritten is recorded in a fresh undo log (see
-    restore_weight).  Returns the number of rules re-fired (at most the
-    size of the downstream closure).  The rule base itself is not
-    consulted for the perturbed rule's weight, so probing never requires
-    mutating the base.
+    restore_weight).  Returns the number of rules re-fired: 0 exactly when
+    the rule does not fire, else at most the size of the downstream
+    closure.  The rule base itself is not consulted for the perturbed
+    rule's weight, so probing never requires mutating the base.
     """
     # the cached plan without a method call; closure_plan builds a missing one
     plan = rb._closure_plans.get(rule_id) or rb.closure_plan(rule_id)
@@ -299,43 +272,44 @@ def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weig
 
 def probe_consequent(
     states: Sequence[ObjectEvaluation], rb: RuleBase, rule_id: str, new_weight: float
-) -> tuple[str, list[float]]:
-    """The rule's consequent and, per state, the CF perturb_weight(state,
-    rb, rule_id, new_weight) would give it, read without writing: the
-    accumulator before the rule's slot (its prefix while the state holds
-    valid ones, else the fold of [lo, slot)), combined with new_weight x
-    the antecedent CF, then the firing slots of (slot, hi).  For a rule
-    that does not fire that is the stored CF.  Only for a rule whose
-    closure plan is the rule alone (ValueError otherwise), where nothing
-    else can change.  The checks are perturb_weight's, and so is the
-    counting: one firing per state the rule fires in."""
+) -> tuple[str, list[int], list[float]]:
+    """The rule's consequent, the positions of the states it fires in
+    (their stored contribution at its slot is not None; a perturb changes
+    no other state), and per such state the CF perturb_weight(state, rb,
+    rule_id, new_weight) would give the consequent, read without writing:
+    the accumulator before the rule's slot (its prefix while the state
+    holds valid ones, else the fold of [lo, slot)), combined with
+    new_weight x the antecedent CF, then the firing slots of (slot, hi).
+    Only for a rule whose closure plan is the rule alone (ValueError
+    otherwise), where nothing else can change.  Every state's slot count
+    is checked, and each firing state's status, as perturb_weight checks
+    them; the counting is perturb_weight's: one firing per firing state."""
     plan = rb.closure_plan(rule_id)
     if len(plan) != 1:
         raise ValueError(f"rule {rule_id!r} has dependents; perturb_weight probes it")
     _, leaf, cons, _, slot, lo, hi, _ = plan[0]
     n_rules = len(rb.rules)
-    cfs = []
-    for state in states:
+    positions, cfs = [], []
+    for i, state in enumerate(states):
         contrib = state.contributions
         if len(contrib) != n_rules:
             raise _slots_disagree(state, n_rules)
+        if contrib[slot] is None:
+            continue
         prop_cf = state.prop_cf
         a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
-        fires = contrib[slot] is not None
-        if (a > state.threshold) != fires:
+        if not a > state.threshold:
             raise InconsistentState(f"rule {rule_id!r} firing status disagrees with stored contributions")
-        if not fires:
-            cfs.append(prop_cf[cons])
-            continue
         pre = state.prefix
         undo = state.undo
         if pre and (undo is None or not undo[3]):  # no pending log's writes
             acc = pre[slot]
         else:
             acc = _fold(contrib, lo, slot)
+        positions.append(i)
         cfs.append(_fold(contrib, slot + 1, hi, combine_parallel(acc, new_weight * a)))
         state.counters.rules_fired += 1
-    return cons, cfs
+    return cons, positions, cfs
 
 
 def restore_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, old_weight: float) -> int:

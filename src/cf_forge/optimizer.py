@@ -37,32 +37,29 @@ difference toward the inside of [-1, 1].
 Gradient probes displace one weight at a time, so with incremental
 re-evaluation enabled (``use_tms``) each probe re-fires only the perturbed
 rule's downstream closure, once, and only on the objects the rule fires on:
-elsewhere its weight changes nothing.  ``engine.firing_states`` reads those
-objects, once per gradient, from the contributions the full pass before it
-stored, and evaluates no antecedent.  (With a single training object the
-scan is skipped and every probe perturbs it.)
-The restore replays the engine's undo log and fires nothing.  The training
-states keep prefix accumulators, so each re-fire refolds only the part of
-its consequent's fan-in that the closure can change; they drop them after
-the last gradient a run may take, so its final full passes do not fill
-them.  When the metric is
-``margin_metric`` over more than one object, its per-object terms are
-taken once per gradient; every probe re-scores only the objects it
-changed (all, some or none) and left-folds the terms, those replaced,
-from 0.0 in object order, which is the sum margin_metric itself makes.
-Any other plug-in, or a one-object part, gets one whole-metric call per
-probe: a plug-in's terms need not be per-object (a mean is not), so
-re-scoring a subset of objects could change them.
+elsewhere its weight changes nothing, and each probe finds those objects
+itself from the contributions the states stored.  The restore replays the
+engine's undo log and fires nothing.  The training states keep prefix
+accumulators, so each re-fire refolds only the part of its consequent's
+fan-in that the closure can change; they drop them after the last gradient
+a run may take, so its final full passes do not fill them.  When the
+metric is ``margin_metric``, its per-object terms are taken once per
+gradient; every probe re-scores only the objects it changed (all, some or
+none) with ``metric.margin_term`` and left-folds the terms, those
+replaced, from 0.0 in object order, which is the sum margin_metric itself
+makes.  Any other plug-in gets one whole-metric call per probe: a
+plug-in's terms need not be per-object (a mean is not), so re-scoring a
+subset of objects could change them.
 
-A probe takes one of two routes, chosen from the input.  When the terms
-exist and the probed rule's closure plan is the rule alone (no rule reads
-its consequent, as on a flat base), it only reads:
+A probe's route depends on the rule's closure and the metric alone.  When
+the terms exist and the probed rule's closure plan is the rule alone (no
+rule reads its consequent, as on a flat base), it only reads:
 ``engine.probe_consequent`` gives the consequent's CF on each object the
-rule fires on, ``metric.margin_term`` re-scores each of those objects with
-that one CF substituted, and no state is written or restored.  Every other
-probe (a rule with dependents, a plug-in metric, a one-object part)
-perturbs the states it changes, scores them and restores them.  Both
-routes give the same value, firings and combines.  The gradient, and a
+rule fires on, each of those objects is re-scored with that one CF
+substituted, and no state is written or restored.  Every other probe
+perturbs every state, re-scores those the rule re-fired in (or makes its
+one whole-metric call) and restores them.  Both routes give the same
+value, firings and combines.  The gradient, and a
 probe of a rule that is not soft-bounded (it adds no penalty term at any
 weight), reuse the penalty of the score before it.  Only a soft-bounded probe
 rescans the rules.  A probe thus costs O(closure) firings on the objects
@@ -109,7 +106,6 @@ from .engine import (
     FiringPolicy,
     ObjectEvaluation,
     evaluate_full,
-    firing_states,
     perturb_weight,
     probe_consequent,
     restore_weight,
@@ -322,8 +318,7 @@ class _Session:
         self.cfg = cfg
         self.metric_fn = metric_fn
         self.policy = FiringPolicy(threshold=cfg.threshold)
-        self.classes = rb.output_classes
-        self.class_order = sorted(self.classes)  # margin_metric's term order
+        self.classes = rb.output_classes  # sorted: margin_metric's term order
         only = cfg.train_only
         for rid in only or ():
             rb.rule(rid)  # raises UnknownRule
@@ -366,51 +361,43 @@ class _Session:
         return sum(st.counters.rules_fired for part in parts for st in part.states)
 
     def _probe_objective(
-        self,
-        rule: Rule,
-        w_probe: float,
-        base_pen: float,
-        terms: list[float] | None,
-        firing: Sequence[int] | None,
+        self, rule: Rule, w_probe: float, base_pen: float, terms: list[float] | None
     ) -> float:
         """Objective with one weight displaced, everything else fixed;
-        ``base_pen`` is the penalty of the undisplaced base, ``terms`` its
-        margin_metric terms (None for a plug-in or a one-object part) and
-        ``firing`` the positions of the training states the probe changes
-        (None for every state).  With terms, a rule whose closure is itself
-        takes the read-only route (module docstring)."""
+        ``base_pen`` is the penalty of the undisplaced base and ``terms``
+        its margin_metric terms (None for a plug-in).  The route is the
+        module docstring's."""
         old = rule.weight
         rule.weight = w_probe
         try:
             if self.cfg.use_tms:
                 part = self.train
-                states = part.states
-                changed = states if firing is None else [states[i] for i in firing]
+                states, labels, classes = part.states, part.labels, self.classes
                 rb, rule_id = self.rb, rule.id
                 if terms is not None and len(rb.closure_plan(rule_id)) == 1:
                     # only the consequent's CF moves: read it, write nothing
-                    cons, cfs = probe_consequent(changed, rb, rule_id, w_probe)
+                    cons, changed, cfs = probe_consequent(states, rb, rule_id, w_probe)
                     probed = terms.copy()
-                    labels, order = part.labels, self.class_order
-                    for i, st, cf in zip(firing, changed, cfs):
-                        probed[i] = margin_term(st.prop_cf, labels[st.object_id], order, cons, cf)
+                    for i, cf in zip(changed, cfs):
+                        st = states[i]
+                        probed[i] = margin_term(st.prop_cf, labels[st.object_id], classes, cons, cf)
                     value = reduce(add, probed, 0.0)
                 else:
                     # bound per probe, not at import, so a wrapper installed
                     # on this module still sees every call
                     perturb, restore = perturb_weight, restore_weight
-                    for st in changed:
-                        perturb(st, rb, rule_id, w_probe)
+                    # 0 re-fires exactly where the rule is silent: nothing changed
+                    changed = [i for i, st in enumerate(states) if perturb(st, rb, rule_id, w_probe)]
                     if terms is None:
-                        value = self.metric_fn(states, part.labels, self.classes).value
+                        value = self.metric_fn(states, labels, classes).value
                     else:  # re-score only the changed objects, then refold every term
                         probed = terms.copy()
-                        mv = self.metric_fn(changed, part.labels, self.classes, per_object=True)
-                        for i, term in zip(firing, mv.per_object):
-                            probed[i] = term
+                        for i in changed:
+                            st = states[i]
+                            probed[i] = margin_term(st.prop_cf, labels[st.object_id], classes)
                         value = reduce(add, probed, 0.0)
-                    for st in changed:
-                        restore(st, rb, rule_id, old)
+                    for i in changed:
+                        restore(states[i], rb, rule_id, old)
                 if rule.bound_kind == SOFT:
                     value += penalty(rb, self.cfg.penalty)
                 else:  # the rule adds no penalty term at any weight
@@ -430,28 +417,19 @@ class _Session:
         cfg = self.cfg
         h = cfg.fd_eps
         part = self.train
-        terms, firing = None, [None] * len(self.trainable)
-        # every probe restores its states, so both hold for all of them.  A
-        # one-object part skips the scan and every probe perturbs its state:
-        # on the 2047-rule, one-object tree the scan builds 2047 lists per
-        # gradient and filters nothing, and the gradient read ~7% slower with
-        # it (median of 8 alternating process pairs, 2-vCPU Xeon, CPython
-        # 3.11); over train-wide's 200 objects it skips 42% of the perturbs
-        if cfg.use_tms and len(part.states) > 1:
-            if self.metric_has_terms:
-                mv = self.metric_fn(part.states, part.labels, self.classes, per_object=True)
-                terms = mv.per_object
-            firing = firing_states(part.states, self.rb, [r.id for r in self.trainable])
+        terms = None
+        if cfg.use_tms and self.metric_has_terms:  # every probe restores its states
+            terms = self.metric_fn(part.states, part.labels, self.classes, per_object=True).per_object
         g: list[float] = []
-        for rule, fires in zip(self.trainable, firing):
+        for rule in self.trainable:
             w = rule.weight
             if cfg.fd_scheme == "central" and w + h <= 1.0 and w - h >= -1.0:
-                f_hi = self._probe_objective(rule, w + h, base_pen, terms, fires)
-                f_lo = self._probe_objective(rule, w - h, base_pen, terms, fires)
+                f_hi = self._probe_objective(rule, w + h, base_pen, terms)
+                f_lo = self._probe_objective(rule, w - h, base_pen, terms)
                 g.append((f_hi - f_lo) / (2.0 * h))
             else:
                 e = h if w + h <= 1.0 else -h
-                f = self._probe_objective(rule, w + e, base_pen, terms, fires)
+                f = self._probe_objective(rule, w + e, base_pen, terms)
                 g.append((f - base_objective) / e)
             if not math.isfinite(g[-1]):
                 what = f"gradient component of rule {rule.id!r}"

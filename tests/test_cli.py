@@ -556,6 +556,17 @@ class TestRobustness:
         trained = load_rulebase(out / "trained.json")
         assert trained.rule("r1").antecedent == load_rulebase(rules).rule("r1").antecedent
 
+    def test_running_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cf_forge.cli, "generate", exhausted)
+        out = tmp_path / "big"
+        rc = run("gen", "--features", "10", "--classes", "5", "--objects", "100000000",
+                 "--out", str(out))
+        assert assert_one_error(capsys, rc) == "error: out of memory"
+        assert not out.exists()
+
 
 class TestAtomicWrites:
     def test_failed_write_leaves_the_old_file_and_no_temp(self, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ The incremental path's oracle throughout is a fresh full evaluation under
 the perturbed weight.
 """
 
+import copy
 import random
 from array import array
 
@@ -324,25 +325,30 @@ class TestPerturb:
         with pytest.raises(InconsistentState):
             perturb_weight(st, rb, "r1", 0.2)
 
-    def test_firing_states_checks_every_state(self):
+    def test_probes_find_the_states_a_rule_fires_in(self):
         rb = single_rule_base()
         facts = [0.5, -0.4, 0.0, 0.9]
         states = [
             evaluate_full(rb, TrainingObject(id=f"o{i}", facts={"f": f}, label="c"))
             for i, f in enumerate(facts)
         ]
-        assert engine.firing_states(states, rb, ["r1"]) == [[0, 3]]
-        assert engine.firing_states(states[::3], rb, ["r1"]) == [[0, 1]]
-        # silent, yet a contribution is stored: the scan reads the stored
-        # status, and the perturb of that state is what catches it
+        assert engine.probe_consequent(states, rb, "r1", 0.5)[1] == [0, 3]
+        assert engine.probe_consequent(states[::3], rb, "r1", 0.5)[1] == [0, 1]
+        # a perturb re-fires nothing exactly where the rule is silent
+        assert [perturb_weight(s, rb, "r1", 0.5) for s in states] == [1, 0, 0, 1]
+        for s in states:
+            restore_weight(s, rb, "r1", 0.8)
+        # silent, yet a contribution is stored: both probes catch it
         states[1].contributions[0] = 0.1
-        assert engine.firing_states(states, rb, ["r1"]) == [[0, 1, 3]]
-        with pytest.raises(InconsistentState):
+        with pytest.raises(InconsistentState, match="firing status"):
+            engine.probe_consequent(states, rb, "r1", 0.5)
+        with pytest.raises(InconsistentState, match="firing status"):
             perturb_weight(states[1], rb, "r1", 0.2)
-        with pytest.raises(InconsistentState):  # never evaluated
-            engine.firing_states([engine.ObjectEvaluation("o")], rb, ["r1"])
-        with pytest.raises(UnknownRule):
-            engine.firing_states(states, rb, ["ghost"])
+        for probe in (engine.probe_consequent, lambda s, *args: perturb_weight(s[0], *args)):
+            with pytest.raises(InconsistentState):  # never evaluated
+                probe([engine.ObjectEvaluation("o")], rb, "r1", 0.5)
+            with pytest.raises(UnknownRule):
+                probe(states, rb, "ghost", 0.5)
 
     def test_probe_consequent_checks_like_perturb(self):
         rb = single_rule_base()
@@ -351,18 +357,24 @@ class TestPerturb:
             evaluate_full(rb, TrainingObject(id=f"o{i}", facts={"f": f}, label="c"))
             for i, f in enumerate(facts)
         ]
-        assert engine.probe_consequent(states, rb, "r1", 0.5) == ("c", [0.25, 0.0, 0.45])
+        assert engine.probe_consequent(states, rb, "r1", 0.5) == ("c", [0, 2], [0.25, 0.45])
         other = evaluate_full(chain3_base(), TrainingObject(id="o", facts={"f": 0.6}, label="c"))
         with pytest.raises(InconsistentState):  # three rule slots, not one
             engine.probe_consequent([other], rb, "r1", 0.5)
         with pytest.raises(InconsistentState):  # never evaluated
             engine.probe_consequent([engine.ObjectEvaluation("o")], rb, "r1", 0.5)
-        for i, stale in ((0, None), (1, 0.1)):  # fires with no contribution, and silent with one
-            saved = states[i].contributions[0]
-            states[i].contributions[0] = stale
-            with pytest.raises(InconsistentState, match="firing status"):
-                engine.probe_consequent(states, rb, "r1", 0.5)
-            states[i].contributions[0] = saved
+        # silent with a contribution: the stored status says it fires, and
+        # the probe checks every state the stored status says fires
+        states[1].contributions[0] = 0.1
+        with pytest.raises(InconsistentState, match="firing status"):
+            engine.probe_consequent(states, rb, "r1", 0.5)
+        states[1].contributions[0] = None
+        # fires with no contribution: the stored status says silent, so the
+        # probe skips the state, and the perturb that status asks for catches it
+        states[0].contributions[0] = None
+        assert engine.probe_consequent(states, rb, "r1", 0.5) == ("c", [2], [0.45])
+        with pytest.raises(InconsistentState, match="firing status"):
+            perturb_weight(states[0], rb, "r1", 0.5)
         # r1 and r2 have dependents: their probes re-fire a closure
         chain = chain3_base()
         for rule_id in ("r1", "r2"):
@@ -370,7 +382,7 @@ class TestPerturb:
                 engine.probe_consequent([], chain, rule_id, 0.5)
         with pytest.raises(UnknownRule):
             engine.probe_consequent([], rb, "ghost", 0.5)
-        assert engine.probe_consequent([], chain, "r3", 0.5) == ("c", [])
+        assert engine.probe_consequent([], chain, "r3", 0.5) == ("c", [], [])
 
     # full: re-evaluate one object into its state, which clears its log;
     # perturb: displace a rule on every state and keep the weight;
@@ -395,16 +407,18 @@ class TestPerturb:
         prefix=st.booleans(),
         actions=actions,
     )
-    def test_firing_states_match_the_independent_evaluator(self, seed, threshold, prefix, actions):
+    def test_firing_status_matches_the_independent_evaluator(self, seed, threshold, prefix, actions):
         """The base always holds the weights every state reflects, so after
         every step each rule's firing states must be the objects on which
-        reference_eval's CFs lift its antecedent above the threshold."""
+        reference_eval's CFs lift its antecedent above the threshold: the
+        states a perturb of its weight re-fires, and for a rule whose
+        closure is itself the positions probe_consequent returns.  The
+        checks probe copies, so the sequence's undo logs stay its own."""
         rng = random.Random(seed)
         rb = random_rulebase(rng, max_rules=40)
         objs = [random_object(rng, rb, f"o{i}") for i in range(rng.randint(2, 5))]
         policy = FiringPolicy(threshold=threshold)
         states = [evaluate(rb, obj, policy, prefix) for obj in objs]
-        ids = [r.id for r in rb.rules]
         last = None  # (rule, weight before its last perturb)
         for action, pick, w in actions:
             if action == "full":
@@ -423,8 +437,15 @@ class TestPerturb:
                 rule.weight = old
                 last = None
             fires = [reference_firing(rb, obj, threshold) for obj in objs]
-            expected = [[i for i, f in enumerate(fires) if rid in f] for rid in ids]
-            assert engine.firing_states(states, rb, ids) == expected
+            copies = copy.deepcopy(states)
+            for r in rb.rules:
+                expected = [i for i, f in enumerate(fires) if r.id in f]
+                refired = [i for i, c in enumerate(copies) if perturb_weight(c, rb, r.id, w)]
+                assert refired == expected
+                for i in refired:
+                    restore_weight(copies[i], rb, r.id, r.weight)
+                if len(rb.closure_plan(r.id)) == 1:
+                    assert engine.probe_consequent(copies, rb, r.id, w)[1] == expected
 
     def test_refold_check(self):
         rb = chain3_base()
@@ -597,9 +618,10 @@ class TestExactness:
         kept=st.booleans(),
     )
     def test_probe_consequent_reads_what_perturb_writes(self, seed, threshold, pick, w, kept):
-        """For a rule whose closure is itself, the read-only probe returns
-        the consequent CF perturb_weight writes, on every state, and leaves
-        each state as it was but for one firing per state the rule fires
+        """For a rule whose closure is itself, the read-only probe finds
+        the states a perturb re-fires (it re-fires nothing in the others),
+        returns the consequent CF perturb_weight writes in each, and leaves
+        every state as it was but for one firing per state the rule fires
         in.  States keep valid, emptied or no prefix accumulators; with
         ``kept`` each holds a kept perturb's pending log first, which makes
         its prefixes stale."""
@@ -637,12 +659,14 @@ class TestExactness:
 
         before = [raw(state) for state in states]
         fired = [state.counters.rules_fired for state in states]
-        cons, cfs = engine.probe_consequent(states, rb, rule.id, w)
-        assert cons == rule.consequent and len(cfs) == len(states)
+        cons, positions, cfs = engine.probe_consequent(states, rb, rule.id, w)
+        assert cons == rule.consequent and len(cfs) == len(positions)
         assert [raw(state) for state in states] == before
-        for state, cf, n in zip(states, cfs, fired):
+        read = dict(zip(positions, cfs))
+        for i, (state, n) in enumerate(zip(states, fired)):
             probed = state.counters.rules_fired - n
-            assert perturb_weight(state, rb, rule.id, w) == probed
+            cf = read.get(i, state.prop_cf[cons])  # a silent rule changes nothing
+            assert perturb_weight(state, rb, rule.id, w) == probed == (i in read)
             assert state.prop_cf[cons].hex() == cf.hex()
 
     def test_restore_keeps_the_sign_of_a_zero_contribution(self):

@@ -5,8 +5,10 @@ results.  These digests pin the ``trace.json`` and ``trained.json`` of
 test_portability's fixed-seed ``gen`` + ``train`` (forward differences,
 two starts, a 0.2 holdout), and of the same train with central
 differences, so a change to the probe or full-pass machinery that moves a
-single bit fails here.  A change that is meant to alter results updates
-the digests and says why.
+single bit fails here.  The ``bench`` digests pin the standard output of
+one gradient on each one-object shaped base (flat, tree, chain), in both
+modes where the ladder stays small.  A change that is meant to alter
+results updates the digests and says why.
 """
 
 import hashlib
@@ -36,3 +38,18 @@ def test_fixed_seed_train_writes_the_pinned_bytes(scheme, tmp_path, monkeypatch)
     got = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
            for name in OUTPUTS}
     assert got == GOLDEN[scheme]
+
+
+BENCH_GOLDEN = {
+    ("flat", "64,128", "both"): "cb8013735d44206d28cb93390e15dac04e8a23ce8efaef22536511b447568f13",
+    ("tree", "63,127", "tms"): "be77ceebe22185318107e10f11a0c6fa2925cfbe8d59bb31da32ca25c0365301",
+    ("chain", "16,32", "both"): "e25e74530aa18095e6378206c7b74e2d7cb1bdb9df10644371fa4b8e6ded5902",
+}
+
+
+@pytest.mark.parametrize("shape, ladder, mode", sorted(BENCH_GOLDEN))
+def test_fixed_seed_bench_prints_the_pinned_bytes(shape, ladder, mode, capsys):
+    argv = ["bench", "--seed", "1", "--shape", shape, "--ladder", ladder, "--mode", mode]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == BENCH_GOLDEN[(shape, ladder, mode)]

@@ -221,12 +221,12 @@ class TestGradient:
            threshold=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5,
                                                        exclude_min=True, exclude_max=True)))
     def test_both_probe_routes_give_the_naive_gradient(self, seed, scheme, threshold):
-        # on a layered base over several objects, a probe of a rule no other
-        # rule reads only reads the states, and every other probe perturbs
-        # and restores them; one gradient mixes both routes
+        # on a layered base over one or more objects, a probe of a rule no
+        # other rule reads only reads the states, and every other probe
+        # perturbs and restores them; one gradient mixes both routes
         rng = random.Random(seed)
         rb = random_rulebase(rng, max_rules=30)
-        data = [random_object(rng, rb, f"o{i}") for i in range(rng.randint(2, 6))]
+        data = [random_object(rng, rb, f"o{i}") for i in range(rng.randint(1, 6))]
         grads = [
             {k: v.hex() for k, v in gradient(rb, data, OptimizerConfig(
                 fd_scheme=scheme, use_tms=tms, threshold=threshold)).items()}
@@ -272,15 +272,17 @@ class TestGradient:
 
     @staticmethod
     def record_probes(monkeypatch):
-        """Record (rule id, number of states) for every read-only probe."""
+        """Record (rule id, number of states it fires in) for every
+        read-only probe."""
         import cf_forge.optimizer as optimizer
 
         probes = []
         original = optimizer.probe_consequent
 
         def recording(states, rb, rule_id, w):
-            probes.append((rule_id, len(states)))
-            return original(states, rb, rule_id, w)
+            result = original(states, rb, rule_id, w)
+            probes.append((rule_id, len(result[1])))
+            return result
 
         monkeypatch.setattr(optimizer, "probe_consequent", recording)
         return probes
@@ -290,16 +292,10 @@ class TestGradient:
         # margin_metric's probes read the objects a rule fires on, however
         # many: every object for r_f000_c0 and none for r_f001_c0, and refold
         # the terms, so the only whole-metric calls are the score before the
-        # gradient and its terms
+        # gradient and its terms; a one-object part takes the same route
         import cf_forge.metric as metric
 
         rb, data = self.mixed_firing_problem()
-        grads = [
-            {k: v.hex() for k, v in gradient(
-                rb, data, OptimizerConfig(fd_scheme=scheme, use_tms=tms)).items()}
-            for tms in (True, False)
-        ]
-        assert grads[0] == grads[1]
         calls = []
 
         def recording(evaluations, labels, classes, per_object=False):
@@ -308,12 +304,21 @@ class TestGradient:
 
         monkeypatch.setattr(metric, "margin_metric", recording)
         probes = self.record_probes(monkeypatch)
-        cfg = OptimizerConfig(fd_scheme=scheme)
-        assert {k: v.hex() for k, v in gradient(rb, data, cfg, recording).items()} == grads[0]
-        n, per_rule = len(data), 2 if scheme == "central" else 1
-        assert calls == [(n, False), (n, True)]  # the score, then the terms
-        assert probes.count(("r_f000_c0", n)) == probes.count(("r_f001_c0", 0)) == per_rule
-        assert len(probes) == per_rule * sum(r.trainable for r in rb.rules)
+        per_rule = 2 if scheme == "central" else 1
+        for objects in (data, data[:1]):
+            grads = [
+                {k: v.hex() for k, v in gradient(
+                    rb, objects, OptimizerConfig(fd_scheme=scheme, use_tms=tms)).items()}
+                for tms in (True, False)
+            ]
+            assert grads[0] == grads[1]
+            del calls[:], probes[:]
+            cfg = OptimizerConfig(fd_scheme=scheme)
+            assert {k: v.hex() for k, v in gradient(rb, objects, cfg, recording).items()} == grads[0]
+            n = len(objects)
+            assert calls == [(n, False), (n, True)]  # the score, then the terms
+            assert probes.count(("r_f000_c0", n)) == probes.count(("r_f001_c0", 0)) == per_rule
+            assert len(probes) == per_rule * sum(r.trainable for r in rb.rules)
 
     @pytest.mark.parametrize("scheme", ["forward", "central"])
     def test_plug_ins_without_terms_give_the_same_gradient(self, scheme, monkeypatch):
@@ -399,7 +404,7 @@ class TestGradient:
                 if contrib[slot] is not None:
                     pairs += 1
                     combines += sum(c is not None for c in contrib[slot:hi])
-        assert pairs < len(rb.rules) * len(objects)  # some probes are skipped
+        assert pairs < len(rb.rules) * len(objects)  # some pairs are silent
         assert combines > pairs
         return rb, objects, pairs, combines
 
@@ -408,9 +413,10 @@ class TestGradient:
         """One gradient with the probe routines and combine_parallel wrapped
         at the names their callers look up, as perfbench's tracer wraps
         perturb_weight, restore_weight and combine_parallel: the calls of
-        each routine, the states read-only probes were given, and the
-        combines made inside a probe.  A rewrite that binds these names at
-        import or inlines combine_parallel would hide calls from a tracer."""
+        each routine, the states read-only probes found the rule firing in,
+        and the combines made inside a probe.  A rewrite that binds these
+        names at import or inlines combine_parallel would hide calls from a
+        tracer."""
         import cf_forge.engine as engine
         import cf_forge.optimizer as optimizer
 
@@ -424,13 +430,14 @@ class TestGradient:
 
             def wrapper(*args):
                 counts[name] += 1
-                if name == "probe_consequent":
-                    counts["states"] += len(args[0])
                 probing[0] += 1
                 try:
-                    return original(*args)
+                    result = original(*args)
                 finally:
                     probing[0] -= 1
+                if name == "probe_consequent":
+                    counts["states"] += len(result[1])
+                return result
 
             monkeypatch.setattr(optimizer, name, wrapper)
 
@@ -447,12 +454,15 @@ class TestGradient:
         return counts
 
     def test_a_tracer_sees_every_probe_call_and_combine(self, monkeypatch):
-        # a plug-in metric has no terms, so its probes perturb; each refolds
-        # the same slots as a read-only probe, and the restore replays
+        # a plug-in metric has no terms, so its probes perturb every object;
+        # where the rule fires each refolds the same slots as a read-only
+        # probe and the restore replays, and elsewhere nothing is combined
+        # or restored
         rb, objects, pairs, combines = self.flat_probe_problem()
         plug_in = lambda evaluations, labels, classes: margin_metric(evaluations, labels, classes)
         counts = self.traced_probes(monkeypatch, rb, objects, plug_in)
-        assert counts["perturb_weight"] == counts["restore_weight"] == pairs
+        assert counts["perturb_weight"] == len(rb.rules) * len(objects)
+        assert counts["restore_weight"] == pairs
         assert counts["probe_consequent"] == 0
         assert counts["combines"] == combines
 
