@@ -3,8 +3,7 @@
 Forward-chaining inference over weighted rules with certainty factors in
 [-1, +1], incremental re-evaluation when a single weight changes, and a
 finite-difference steepest-descent trainer that fits the weights to
-labeled objects under box constraints, with exact accounting of the work
-performed.
+labeled objects in a box, accounting exactly for the work it performs.
 """
 
 from .algebra import (

@@ -3,17 +3,14 @@
 A certainty factor (CF) is a confidence in [-1.0, +1.0]: +1 certainly true,
 -1 certainly false, 0 unknown.  Evidence for one proposition arriving from
 several rules is pooled with ``combine_parallel``; the combination rule is
-commutative and associative, so a proposition's contribution list can be
+commutative and associative, so a proposition's contributions can be
 folded in any order and refolded incrementally without changing the result.
-That order-independence is what makes incremental re-evaluation in the
-engine sound.  In floating point the fold is only approximately
-order-independent, so the engine fixes one order (each proposition's
-incoming rules in topological order) and both of its paths fold in it.
+In floating point the fold is only approximately order-independent, so the
+engine fixes one order (each proposition's incoming rules in topological
+order) and every engine path folds in it.
 
 Antecedents are trees of AND / OR / NOT over proposition references,
-evaluated with the usual min / max / negation semantics.  The engine reads
-an antecedent that is a bare reference straight from its CF map and calls
-``eval_expr`` only for compound ones.
+evaluated with the usual min / max / negation semantics (``eval_expr``).
 """
 
 from __future__ import annotations

@@ -1,10 +1,5 @@
-"""Command-line surface: generate, train, evaluate, bench, audit.
-
-Exit codes: 0 success, 2 invalid flags or input files, 3 optimization
-failure (line search exhausted; partial outputs are still written), and 1
-for a failed audit.  Every command is bit-reproducible for a fixed seed;
-the environment variable CF_FORGE_SEED supplies the default seed, and a
-value that is not an integer exits 2.
+"""Command-line surface: generate, train, evaluate, bench, audit.  The
+README states each command's outputs, exit codes and CF_FORGE_SEED.
 """
 
 from __future__ import annotations

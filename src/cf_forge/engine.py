@@ -1,69 +1,18 @@
-"""Forward-chaining evaluation of one object, full-pass and incremental.
+"""Forward-chaining evaluation of one object: the full pass, and the probes
+a trainer makes one weight at a time.  Each mechanism is stated once:
 
-Both paths walk the rule base's compiled firing plan (``RuleBase.
-firing_plan``).  Every rule has a slot, its position in the plan, and each
-produced proposition owns the contiguous slot range of its incoming rules.
-``evaluate_full`` takes each produced proposition in plan order and fires
-its incoming rules once, in slot order.  A rule fires when its antecedent
-CF exceeds the firing threshold; its contribution, weight x antecedent CF,
-is pooled into the consequent's CF, folded from 0.0.  An antecedent that is
-a bare reference is read straight from the CF map; any other goes through
-``eval_expr``.  The state keeps each proposition's CF, each rule's
-contribution in a flat list indexed by slot, and the threshold the pass
-fired under.
-
-``perturb_weight`` is the incremental path: changing a single rule's weight
-re-fires only that rule and the rules downstream of its consequent, walking
-the rule's cached closure plan under the threshold the state's full pass
-used.  The first entry is the perturbed rule, which contributes the new
-weight times its antecedent CF and re-fires before any loop; the rest of
-the plan is walked only when that changed its consequent's CF, and each
-later entry re-fires when its antecedent reads a proposition whose CF
-changed.  A re-fired rule reads its antecedent CF from the CF map as the
-full pass does, so a compound antecedent is evaluated again, and its
-consequent is refolded over its slot range [lo, hi), which replays exactly
-the fold sequence a full pass would execute.  Propagation stops only where
-a proposition's CF is bitwise unchanged, so incremental results are
-bit-identical to a fresh full pass.
-
-A state may opt in to prefix accumulators (``prefix``, an ``array('d')``):
-its full passes then record, before each slot k, the accumulator of slot
-k's consequent, the fold from 0.0 of slots [lo, k).  A re-fire then refolds
-only [start, hi) from ``prefix[start]``, where start is the lowest slot of
-a closure rule with that consequent (see ``RuleBase.closure_plan``): the
-slots before it are not in the closure, so the fold skipped would repeat
-the same combines on the same values.  The prefixes hold the last full
-pass's contributions, so a perturb that starts while a non-empty undo log
-is pending (a kept perturb, or a restore that re-fired) empties them, and
-re-fires fold from lo, from 0.0, until the next full pass refills them.
-
-Every perturb records what it overwrites in an undo log on the state, one
-entry per re-fire: (slot, old contribution, consequent, old CF).  Each
-perturb starts a fresh log, and ``evaluate_full`` clears it.
-``restore_weight`` writes a matching log back in reverse, with no combine
-arithmetic and no firing, so the return to the pre-probe state is identical
-by construction.  A restore the log cannot serve (no pending log, another
-rule's log, or a weight whose contribution is not the one the log saved)
-re-fires the closure like a perturb.  A probe therefore costs one closure
-re-fire, not two: on a flat base, one refold of [start, hi) plus O(1)
-bookkeeping for the pair.
-
-``probe_consequent`` is the read-only probe, for a rule whose closure plan
-is the rule alone: no rule reads its consequent, so a displaced weight
-changes that one CF and nothing else.  Given every state, it finds the
-ones the rule fires in from the contributions they stored (a silent rule
-changes nothing), returns the CF perturb_weight would write into each, and
-writes nothing but the firing counter: no contribution, CF, undo log or
-prefix.  It fires and combines exactly as the perturb would, and the
-replayed restore does neither, so work counters read the same by either
-route.
+- when a rule fires and how a consequent folds: ``evaluate_full``;
+- the fold invariant, the undo log's entries, and the prefix accumulators
+  with their validity rule: ``ObjectEvaluation``;
+- the incremental re-fire and why it is bit-exact: ``perturb_weight``;
+- the undo log's replay: ``restore_weight``;
+- the read-only probe: ``probe_consequent``;
+- which a trainer's probe takes: ``optimizer._Session._probe_objective``.
 
 ``combine_parallel`` and ``eval_expr`` are looked up as module globals at
 every call, so a wrapper installed on this module sees every combine and
-every antecedent evaluation.
-
-Evaluations of distinct objects are independent; a single ObjectEvaluation
-is single-owner mutable state.
+every antecedent evaluation.  Evaluations of distinct objects are
+independent; one ObjectEvaluation is single-owner mutable state.
 """
 
 from __future__ import annotations
@@ -118,11 +67,17 @@ class ObjectEvaluation:
     undo is the last perturb's undo log, or None: the perturbed rule's id
     and antecedent CF, the contribution it overwrote (None when the rule
     does not fire), and one (slot, old contribution, consequent, old CF)
-    entry per re-fire, in re-fire order.
+    entry per re-fire, in re-fire order.  Each perturb starts a fresh log;
+    a full pass and a replayed restore clear it.
 
-    prefix is None (no prefix accumulators, the default) or an
-    ``array('d')``, which each full pass fills with the accumulator before
-    every slot; it is empty while stale (see the module docstring).
+    prefix is None (the default) or an ``array('d')`` of prefix
+    accumulators: a full pass records, before each slot k, the fold from
+    0.0 of its consequent's slots [lo, k), so a re-fire refolds only
+    [start, hi) from ``prefix[start]`` (start: see RuleBase.closure_plan).
+    The prefixes hold the last full pass's contributions, so they are
+    valid only while non-empty and no pending undo log holds an entry; a
+    perturb that starts while one does (a kept perturb, or a restore that
+    re-fired) empties them until the next full pass.
     """
 
     __slots__ = ("object_id", "prop_cf", "contributions", "threshold", "counters", "undo", "prefix")
@@ -143,16 +98,20 @@ def evaluate_full(
     policy: FiringPolicy = DEFAULT_POLICY,
     into: ObjectEvaluation | None = None,
 ) -> ObjectEvaluation:
-    """Evaluate every rule once, walking the rule base's firing plan.
+    """Evaluate every rule once, walking the rule base's firing plan: each
+    produced proposition in plan order, its incoming rules in slot order.
 
-    Inputs missing from the object's facts default to CF 0; derived
-    propositions no rule fires into stay at CF 0.  Every produced
-    proposition folds from 0.0 and is bound, so on an unchecked base a rule
-    concluding an input overrides its fact, and an undeclared consequent
-    reads as 0 while no rule fires into it.  Pass ``into`` to reuse a state
-    object: its CFs, contributions and threshold are replaced, its prefix
-    accumulators (if it keeps them) are refilled, and its counters keep
-    accumulating.
+    A rule fires when its antecedent CF (a bare reference read from the CF
+    map, any other antecedent through eval_expr) exceeds the policy's
+    threshold, and its contribution, weight x antecedent CF, is pooled into
+    the consequent's CF.  Inputs missing from the object's facts default to
+    CF 0; derived propositions no rule fires into stay at CF 0.  Every
+    produced proposition folds from 0.0 and is bound, so on an unchecked
+    base a rule concluding an input overrides its fact, and an undeclared
+    consequent reads as 0 while no rule fires into it.  Pass ``into`` to
+    reuse a state object: its CFs, contributions and threshold are
+    replaced, its prefix accumulators (if it keeps them) are refilled, and
+    its counters keep accumulating.
     """
     if into is None:
         state = ObjectEvaluation(obj.id)
@@ -211,20 +170,20 @@ def _slots_disagree(state: ObjectEvaluation, n_rules: int) -> InconsistentState:
 
 
 def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weight: float) -> int:
-    """Re-evaluate the state as if the rule's weight were ``new_weight``.
+    """Re-evaluate the state in place as if the rule's weight were
+    ``new_weight`` (the base is not read for it, so probing never mutates
+    the base); returns the number of rules re-fired, 0 exactly when the
+    rule does not fire.
 
-    The rule re-fires with ``new_weight`` under the threshold of the
-    state's full pass (unless it does not fire, when nothing changes).
-    Only when its consequent's CF changed does a loop walk the rest of the
-    rule's closure plan, re-firing each rule whose antecedent reads a
-    proposition whose CF changed.  Every re-fire refolds its consequent
-    (from its prefix accumulator while the state holds valid ones) and
-    writes its contribution and CF.  The state is updated in place, and
-    every entry overwritten is recorded in a fresh undo log (see
-    restore_weight).  Returns the number of rules re-fired: 0 exactly when
-    the rule does not fire, else at most the size of the downstream
-    closure.  The rule base itself is not consulted for the perturbed
-    rule's weight, so probing never requires mutating the base.
+    The rule re-fires first, under the threshold of the state's full pass.
+    Only when that changed its consequent's CF is the rest of its closure
+    plan walked, re-firing each entry whose antecedent reads a proposition
+    whose CF changed.  A re-fire reads its antecedent as the full pass does
+    and refolds its consequent over [lo, hi), or from its prefix while
+    valid (see ObjectEvaluation): the fold sequence of a full pass.
+    Propagation stops only where a CF is bitwise unchanged, so the state
+    ends bit-identical to a fresh full pass.  Each entry overwritten goes
+    to a fresh undo log, for restore_weight.
     """
     # the cached plan without a method call; closure_plan builds a missing one
     plan = rb._closure_plans.get(rule_id) or rb.closure_plan(rule_id)
@@ -273,17 +232,20 @@ def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weig
 def probe_consequent(
     states: Sequence[ObjectEvaluation], rb: RuleBase, rule_id: str, new_weight: float
 ) -> tuple[str, list[int], list[float]]:
-    """The rule's consequent, the positions of the states it fires in
+    """The read-only probe, for a rule whose closure plan is the rule alone
+    (ValueError otherwise): no rule reads its consequent, so a displaced
+    weight changes that one CF and nothing else.
+
+    Returns the consequent, the positions of the states the rule fires in
     (their stored contribution at its slot is not None; a perturb changes
     no other state), and per such state the CF perturb_weight(state, rb,
-    rule_id, new_weight) would give the consequent, read without writing:
-    the accumulator before the rule's slot (its prefix while the state
-    holds valid ones, else the fold of [lo, slot)), combined with
-    new_weight x the antecedent CF, then the firing slots of (slot, hi).
-    Only for a rule whose closure plan is the rule alone (ValueError
-    otherwise), where nothing else can change.  Every state's slot count
-    is checked, and each firing state's status, as perturb_weight checks
-    them; the counting is perturb_weight's: one firing per firing state."""
+    rule_id, new_weight) would give the consequent: the accumulator before
+    the rule's slot (its prefix while valid, else the fold of [lo, slot)),
+    combined with new_weight x the antecedent CF, then the firing slots of
+    (slot, hi).  It checks every state's slot count and each firing
+    state's status, and fires and combines, as that perturb would (whose
+    replayed restore does neither), so work counters read the same by
+    either route; it writes only the firing counter."""
     plan = rb.closure_plan(rule_id)
     if len(plan) != 1:
         raise ValueError(f"rule {rule_id!r} has dependents; perturb_weight probes it")
@@ -319,11 +281,14 @@ def restore_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, old_weig
     When the pending undo log is this rule's and ``old_weight`` gives the
     contribution the log saved, bit for bit (always, for a rule that does
     not fire), the log is written back in reverse and consumed: no combine
-    arithmetic, no firing, and 0 is returned.  The log assumes the base was
-    not changed between the perturb and the restore.  Otherwise (no pending
+    arithmetic, no firing, and 0 is returned, so the state is the
+    pre-probe one by construction.  The log assumes the base was not
+    changed between the perturb and the restore.  Otherwise (no pending
     log, another rule's log, or another contribution) the closure re-fires
     exactly as perturb_weight(old_weight) would.  Either way the state ends
-    bit-identical to a fresh full pass at ``old_weight``.
+    bit-identical to a fresh full pass at ``old_weight``, and a probe pair
+    costs one closure re-fire, not two: on a flat base, one refold of
+    [start, hi) plus O(1) bookkeeping.
     """
     undo = state.undo
     if undo is not None and undo[0] == rule_id:

@@ -1,34 +1,21 @@
 """Continuous performance metrics over a training set, plus penalties.
+Each mechanism is stated once:
 
-The default training objective is ``margin_metric``: for every object and
-every class other than the object's true class it adds
-``(2 + (cf_wrong - cf_true))^2``.  The CF difference lies in [-2, 2], so the
-shift by 2 makes every term nonnegative and squaring rewards margin
-monotonically: the score is zero exactly when each object's true class is
-fully confirmed (+1) and every other class fully denied (-1).  Correctness
-alone is not enough; sharpness of the classification lowers it further.
-
-Any callable mapping (evaluations, labels, classes) to a MetricValue can
-replace it; the trainer treats the metric as a plug-in and gives it one
-whole-metric call per gradient probe.  Only for ``margin_metric`` does a
-probe re-score just the objects the probed rule fires on and refold the
-stored per-object terms: each of its terms depends only on its own
-object's evaluation, and its value is the left fold from 0.0 of the terms
-in object order, so the refold gives the very value a whole-metric call
-would.  Each term is one ``margin_term`` call, which can read one
-proposition's CF from an argument instead of the evaluation, so a probe
-that changed only that CF re-scores an object without writing its state.
-A plug-in's terms promise neither (a mean's terms depend on the object
-count), so they are not used that way.  ``accuracy`` is a discrete
-diagnostic for reporting only; it is not continuous and must not be used
-as a training objective.
+- the default training objective, and the invariant that lets a probe
+  refold its per-object terms: ``margin_metric``;
+- one object's term, its one definition: ``margin_term``;
+- the soft-bound quadratic hinge: ``PenaltyConfig`` and ``penalty``;
+- the discrete diagnostic, for reporting only: ``accuracy``;
+- how the trainer probes a plug-in metric, any callable mapping
+  (evaluations, labels, classes) to a MetricValue:
+  ``optimizer._Session._probe_objective``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Container, Mapping, Sequence
 
 from .engine import ObjectEvaluation, classify
 from .errors import EmptyDataset, UnknownLabel
@@ -67,26 +54,39 @@ def margin_metric(
     classes: Sequence[str],
     per_object: bool = False,
 ) -> MetricValue:
-    """Sum of squared shifted margins, objects in given order, classes in
-    sorted order (the summation order is part of the contract so results
-    are bit-reproducible).  With ``per_object`` the result carries each
-    object's term, which depends only on that object's evaluation, and
-    value is the left fold from 0.0 of the terms (``v = 0.0; for t in
-    terms: v += t``), bit for bit; the trainer relies on both to re-score
-    only the objects a probe changes."""
+    """Sum over the objects, in the given order, and over each object's
+    other classes, in sorted order, of (2 + (cf_wrong - cf_true))^2.  The
+    CF difference lies in [-2, 2], so the shift by 2 makes every term
+    nonnegative and squaring rewards margin monotonically: the score is
+    zero exactly when each object's true class is fully confirmed (+1) and
+    every other class fully denied (-1).  The summation order is part of
+    the contract, so results are bit-reproducible.  A label missing from
+    ``labels`` or not in ``classes`` raises UnknownLabel.
+
+    With ``per_object`` the result carries each object's term.  A term
+    depends only on its own object's evaluation, and value is the left
+    fold from 0.0 of the terms (``v = 0.0; for t in terms: v += t``), bit
+    for bit, so a probe may re-score only the objects it changed and refold
+    the terms to the very value a whole call would give.  A plug-in's
+    terms promise neither (a mean's depend on the object count)."""
     class_order = sorted(classes)
     class_set = set(class_order)
     terms: list[float] | None = [] if per_object else None
     total = 0.0
     for ev in evaluations:
-        label = labels.get(ev.object_id)
-        if label is None or label not in class_set:
-            raise UnknownLabel(f"object {ev.object_id!r} has label {label!r}")
-        term = margin_term(ev.prop_cf, label, class_order)
+        term = margin_term(ev.prop_cf, _label(ev, labels, class_set), class_order)
         total += term
         if terms is not None:
             terms.append(term)
     return MetricValue(value=total, per_object=terms)
+
+
+def _label(ev: ObjectEvaluation, labels: Mapping[str, str], classes: Container[str]) -> str:
+    """The object's label; UnknownLabel when it is missing or no class."""
+    label = labels.get(ev.object_id)
+    if label is None or label not in classes:
+        raise UnknownLabel(f"object {ev.object_id!r} has label {label!r}")
+    return label
 
 
 def margin_term(
@@ -99,7 +99,8 @@ def margin_term(
     """One object's margin_metric term, classes in ``class_order`` (sorted),
     reading each class CF from ``prop_cf``, except that proposition
     ``prop``, when given, reads ``cf``: the term of the evaluation that
-    differs from ``prop_cf`` in that one CF."""
+    differs from ``prop_cf`` in that one CF, which a probe that changed
+    only that CF re-scores without writing the state."""
     cf_true = cf if label == prop else prop_cf[label]
     term = 0.0
     for cid in class_order:
@@ -133,9 +134,12 @@ def accuracy(
     labels: Mapping[str, str],
     rb: RuleBase,
 ) -> float:
-    """Fraction of objects whose argmax class matches their label;
-    EmptyDataset for no objects, where 0.0 would read as every one wrong."""
+    """Fraction of objects whose argmax class matches their label.  It is
+    discrete, for reporting only, and never a training objective.  Labels
+    are checked as margin_metric checks them; EmptyDataset for no
+    objects, where 0.0 would read as every one wrong."""
     if not evaluations:
         raise EmptyDataset("no objects to score: accuracy is undefined for an empty set")
-    correct = sum(1 for ev in evaluations if classify(ev, rb) == labels[ev.object_id])
+    classes = set(rb.output_classes)
+    correct = sum(1 for ev in evaluations if _label(ev, labels, classes) == classify(ev, rb))
     return correct / len(evaluations)

@@ -7,26 +7,9 @@ bases are rejected outright; the certainty-factor calculus used here has no
 fixed-point semantics, and both single-pass forward chaining and
 incremental refolding are only sound on acyclic graphs.
 
-File formats
-------------
-Rule base (UTF-8 JSON)::
-
-    { "propositions": [ {"id": "...", "kind": "input"|"derived",
-                         "output_class": bool} ],
-      "rules": [ {"id": "...", "if": EXPR, "then": "<prop-id>",
-                  "weight": number, "bounds": [lo, hi],
-                  "bound_kind": "hard"|"soft", "trainable": bool} ] }
-
-    EXPR ::= "<prop-id>" | {"and":[EXPR,...]} | {"or":[EXPR,...]}
-           | {"not": EXPR}            (at most MAX_EXPR_DEPTH operators deep)
-
-``bounds``, ``bound_kind`` and ``trainable`` default to [-1, 1], "hard"
-and true.  Dataset files are JSON Lines, one object per line::
-
-    {"id": "...", "facts": {"<input-prop-id>": number, ...},
-     "label": "<class-prop-id>"}
-
-Numbers round-trip bit-exactly (serialized via the shortest repr).
+The rule-base JSON and dataset JSON Lines formats are in the README's
+"File formats"; numbers round-trip bit-exactly (written via the shortest
+repr).
 """
 
 from __future__ import annotations
@@ -97,12 +80,11 @@ class FiringPlan:
     entries are laid end to end, so each produced proposition owns the
     contiguous slot range [lo, hi) of its incoming rules.  ``refires`` maps
     each rule id to the entry a probe re-fires it from: (rule, leaf,
-    consequent, antecedent refs, slot, lo, hi, start), with lo and hi the
-    consequent's range and start the slot a probe's refold of the
-    consequent begins at, here the rule's own slot (see
-    ``RuleBase.closure_plan``).  A leaf is the proposition id when the
-    antecedent is a bare Ref to a declared proposition, else the
-    antecedent Expr.  Rules are held by reference, so weights stay live.
+    consequent, antecedent refs, slot, lo, hi, start), start being the
+    rule's own slot until ``RuleBase.closure_plan`` lowers it.  A leaf is
+    the proposition id when the antecedent is a bare Ref to a declared
+    proposition, else the antecedent Expr.  Rules are held by reference,
+    so weights stay live.
     """
 
     initial: dict[str, float]
@@ -124,10 +106,8 @@ class Violation:
 
 @dataclass
 class TrainingObject:
-    """One labeled object: input-fact CFs plus its true output class.
-
-    Facts omit unknown inputs; the engine defaults them to CF 0.
-    """
+    """One labeled object: input-fact CFs (unknown inputs omitted) plus its
+    true output class."""
 
     id: str
     facts: dict[str, float]

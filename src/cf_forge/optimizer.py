@@ -1,94 +1,17 @@
 """Projected steepest-descent training of rule weights with exact work
-accounting.
+accounting.  ``train_multi`` runs ``_Session.descend`` once per start, and
+each mechanism is stated once:
 
-The loop: evaluate the objective, estimate its gradient with finite
-differences, test projected stationarity, then backtrack along the
-projection arc until the Armijo condition holds, repeat.  One routine,
-``_Session.descend``, runs it from the session's current weights;
-``train_multi`` runs it once per start, each on its own copy of the rule
-base, and ``train`` is ``train_multi`` without the per-start traces.
-Every weight is projected onto its interval: the hard bound, else
-[-1, +1], since weights outside [-1, +1] are not valid certainty factors
-and the objective is undefined there.
-
-- Convergence (``tol_grad``) is tested on the projected gradient's infinity
-  norm, which ``IterationRecord.grad_inf_norm`` records: a component counts
-  as zero when its weight sits on a projection bound and -g points outward.
-  An optimum on a bound is thus a stationary point, not a search failure.
-- A trial step ``a`` is accepted when
-  ``f(P(w - a g)) <= f(w) - armijo_c * g.(w - P(w - a g))`` (Armijo along
-  the projection arc; Bertsekas 1976).  The one formula covers free,
-  pinned and partly projected components.  Candidates are projected before
-  they are scored, so the recorded objective sequence never increases.
-- The first trial step is the Barzilai-Borwein step ``s.s / s.y`` (Barzilai
-  & Borwein 1988), clipped to [BB_STEP_MIN, BB_STEP_MAX]: ``s`` is the last
-  accepted change of the weights, ``y`` the change of the gradient over
-  it.  The first iteration, and any where ``s.y <= 0``, starts at
-  ``step_init``.  A failed search (``max_backtracks`` exhausted) means the
-  gradient gave no descent direction, e.g. at a kink of the objective.
-
-The gradient is one list, a component per trainable rule in the session's
-order, which the line search and the Barzilai-Borwein step read beside the
-list of weights; only the public ``gradient`` keys it by rule id.  Each
-component probes at ``w +- fd_eps``: a central difference when both points
-lie in [-1, 1], otherwise (and for every forward difference) a forward
-difference toward the inside of [-1, 1].
-
-Gradient probes displace one weight at a time, so with incremental
-re-evaluation enabled (``use_tms``) each probe re-fires only the perturbed
-rule's downstream closure, once, and only on the objects the rule fires on:
-elsewhere its weight changes nothing, and each probe finds those objects
-itself from the contributions the states stored.  The restore replays the
-engine's undo log and fires nothing.  The training states keep prefix
-accumulators, so each re-fire refolds only the part of its consequent's
-fan-in that the closure can change; they drop them after the last gradient
-a run may take, so its final full passes do not fill them.  When the
-metric is ``margin_metric``, its per-object terms are taken once per
-gradient; every probe re-scores only the objects it changed (all, some or
-none) with ``metric.margin_term`` and left-folds the terms, those
-replaced, from 0.0 in object order, which is the sum margin_metric itself
-makes.  Any other plug-in gets one whole-metric call per probe: a
-plug-in's terms need not be per-object (a mean is not), so re-scoring a
-subset of objects could change them.
-
-A probe's route depends on the rule's closure and the metric alone.  When
-the terms exist and the probed rule's closure plan is the rule alone (no
-rule reads its consequent, as on a flat base), it only reads:
-``engine.probe_consequent`` gives the consequent's CF on each object the
-rule fires on, each of those objects is re-scored with that one CF
-substituted, and no state is written or restored.  Every other probe
-perturbs every state, re-scores those the rule re-fired in (or makes its
-one whole-metric call) and restores them.  Both routes give the same
-value, firings and combines.  The gradient, and a
-probe of a rule that is not soft-bounded (it adds no penalty term at any
-weight), reuse the penalty of the score before it.  Only a soft-bounded probe
-rescans the rules.  A probe thus costs O(closure) firings on the objects
-it changes, instead of a full pass.  The engine is exact, and the reused
-penalty and refolded terms are the very values a rescan would give, which
-makes the incremental gradient equal the full-evaluation gradient bit for
-bit: the speedup is never a semantics change.  Line-search candidates move
-every trainable weight at once, so those are full passes and are accounted
-separately.
-
-Every full pass goes through one scoring routine, ``_Session.score``, which
-re-evaluates one part's reusable states and returns (objective, metric,
-penalty): the initial score, each line-search candidate, each holdout
-evaluation and, in naive mode (``use_tms`` off), each probe, which
-re-scores the training part itself: after a naive gradient the training
-states hold the last probe until the next score, and nothing reads them in
-between.  A failed search restores only the weights: training stops there
-and never reads the states again.
-
-Accounting: ``probe_evals`` counts one per (rule, object) probe, whether
-the rule fires on the object or not (two per pair for non-degenerate
-central differences), in both modes, so a
-forward-difference run ends with
-``probe_evals == gradients x objects x trainable_rules`` exactly;
-``audit_budget`` checks that identity.  Line-search evaluations are counted
-in their own field and excluded by definition.  ``firings`` is read from
-the states: the sum of the engine's own ``rules_fired`` counters over every
-state the run evaluated (training and holdout), taken once when the run
-returns, so a replayed restore adds nothing.
+- the projection box and convergence on a bound: ``_Session.descend``;
+- the one scoring routine of every full pass: ``_Session.score``;
+- the difference formulas, and the penalty and terms a gradient reuses
+  from its score: ``_Session.gradient``;
+- the two probe routes, and why each gives the full-evaluation value bit
+  for bit: ``_Session._probe_objective``;
+- the Armijo test along the projection arc: ``_Session.line_search``, and
+  its Barzilai-Borwein first trial step: ``_bb_step``;
+- the probe-count identity and the firing count: ``EvaluationBudget``,
+  checked by ``audit_budget``.
 """
 
 from __future__ import annotations
@@ -173,12 +96,14 @@ class OptimizerConfig:
 class EvaluationBudget:
     """Exact work counters for a training run.
 
-    gradients: gradient determinations; objects: training objects;
-    trainable_rules: weights being optimized; probe_evals: gradient probes,
-    one per (rule, object) displacement; line_search_evals: full rule-base
-    evaluations spent on line-search candidates (excluded from
-    probe_evals); firings: total rule firings through the engine (a
-    restore that replays the undo log fires none).
+    probe_evals counts one per (rule, object) probe, whether the rule fires
+    on the object or not (two per pair for non-degenerate central
+    differences), in both modes, so a forward-difference run ends with
+    ``probe_evals == gradients x objects x trainable_rules`` exactly.
+    line_search_evals counts the objects scored for line-search candidates.
+    firings sums the engine's rules_fired counters over every state the run
+    evaluated (training and holdout), once when the run returns, so a
+    restore that replays the undo log adds nothing.
     """
 
     gradients: int = 0
@@ -272,9 +197,10 @@ def _project(rule: Rule, w: float) -> float:
 def _bb_step(
     w: list[float], g: list[float], w_prev: list[float], g_prev: list[float], step_init: float
 ) -> float:
-    """Barzilai-Borwein first trial step s.s / s.y with s = w - w_prev and
-    y = g - g_prev, clipped to [BB_STEP_MIN, BB_STEP_MAX]; ``step_init``
-    when s.y <= 0."""
+    """Barzilai-Borwein first trial step s.s / s.y (Barzilai & Borwein 1988),
+    with s = w - w_prev the last accepted change of the weights and y =
+    g - g_prev the change of the gradient over it, clipped to
+    [BB_STEP_MIN, BB_STEP_MAX]; ``step_init`` when s.y <= 0."""
     # left folds from 0.0, not sum(): sum() of floats is compensated since
     # CPython 3.12, and a fixed seed must give the same bits on every Python
     ss = sy = 0.0
@@ -294,14 +220,12 @@ class _Part:
         self.objects = list(objects)
         self.labels = {o.id: o.label for o in self.objects}
         self.states = [ObjectEvaluation(o.id) for o in self.objects]
+        self.terms: list[float] | None = None
 
 
 class _Session:
     """Exclusive-access state of one training run: the working rule base,
-    the training part, the holdout part and the budget counters.  Every
-    full pass goes through score(); in naive mode each probe is one, over
-    the training part, so after a naive gradient the training states hold
-    the last probe until the next score."""
+    the training part, the holdout part and the budget counters."""
 
     def __init__(
         self,
@@ -337,7 +261,7 @@ class _Session:
                 st.prefix = array("d")
         # looked up on the module, so a wrapper installed there (as the
         # profiler's is) and passed in keeps the per-object path
-        self.metric_has_terms = metric_fn is metric.margin_metric
+        self.keep_terms = cfg.use_tms and metric_fn is metric.margin_metric
         self.budget = budget if budget is not None else EvaluationBudget()
         self.budget.objects = len(self.train.objects)
         self.budget.trainable_rules = len(self.trainable)
@@ -345,10 +269,19 @@ class _Session:
     def score(self, part: _Part) -> tuple[float, float, float]:
         """Full pass over the part's states at the current weights:
         (objective, metric, penalty); NonFiniteObjective when the objective
-        is inf or NaN."""
+        is inf or NaN.  Every full pass comes through here, each probe of
+        naive mode (``use_tms`` off) too, so after a naive gradient the
+        training states hold the last probe, unread, until the next score.
+        With ``keep_terms`` the training part keeps its margin_metric
+        terms, which the next gradient reads."""
         for st, obj in zip(part.states, part.objects):
             evaluate_full(self.rb, obj, self.policy, into=st)
-        m = self.metric_fn(part.states, part.labels, self.classes).value
+        if self.keep_terms and part is self.train:
+            mv = self.metric_fn(part.states, part.labels, self.classes, per_object=True)
+            part.terms = mv.per_object
+        else:
+            mv = self.metric_fn(part.states, part.labels, self.classes)
+        m = mv.value
         p = penalty(self.rb, self.cfg.penalty)
         f = m + p
         if not math.isfinite(f):
@@ -365,8 +298,25 @@ class _Session:
     ) -> float:
         """Objective with one weight displaced, everything else fixed;
         ``base_pen`` is the penalty of the undisplaced base and ``terms``
-        its margin_metric terms (None for a plug-in).  The route is the
-        module docstring's."""
+        its margin_metric terms (None for a plug-in).
+
+        In naive mode a probe is a full pass.  Otherwise only the objects
+        the rule fires on can change; the probe finds them from the states'
+        stored contributions, by one of two routes picked by the rule's
+        closure and the metric alone, never by the object count.  When the
+        terms exist and the rule's closure plan is the rule alone (no rule
+        reads its consequent, as on a flat base), it only reads:
+        engine.probe_consequent gives the consequent's CF on each object
+        the rule fires on, and margin_term re-scores those objects with it.
+        Otherwise perturb_weight runs on every state, the states it re-fired
+        in are re-scored (a plug-in, whose terms need not be per-object,
+        gets one whole-metric call), and restore_weight replays their undo
+        logs.  The terms, those replaced, are refolded as margin_metric
+        allows.  Both routes give the same value, firings and combines; the
+        engine is exact, and the refolded terms and reused penalty are the
+        values a rescan gives, so the incremental gradient equals the
+        full-evaluation gradient bit for bit at O(closure) firings per
+        changed object."""
         old = rule.weight
         rule.weight = w_probe
         try:
@@ -375,7 +325,6 @@ class _Session:
                 states, labels, classes = part.states, part.labels, self.classes
                 rb, rule_id = self.rb, rule.id
                 if terms is not None and len(rb.closure_plan(rule_id)) == 1:
-                    # only the consequent's CF moves: read it, write nothing
                     cons, changed, cfs = probe_consequent(states, rb, rule_id, w_probe)
                     probed = terms.copy()
                     for i, cf in zip(changed, cfs):
@@ -390,7 +339,7 @@ class _Session:
                     changed = [i for i, st in enumerate(states) if perturb(st, rb, rule_id, w_probe)]
                     if terms is None:
                         value = self.metric_fn(states, labels, classes).value
-                    else:  # re-score only the changed objects, then refold every term
+                    else:
                         probed = terms.copy()
                         for i in changed:
                             st = states[i]
@@ -411,15 +360,15 @@ class _Session:
 
     def gradient(self, base_objective: float, base_pen: float) -> list[float]:
         """Finite-difference gradient at the current weights, where score()
-        gave ``base_objective`` and ``base_pen``: one component per rule of
-        ``trainable``, in order, probe step ``h = fd_eps`` (formulas in the
-        module docstring).  An inf or NaN component raises NonFiniteObjective."""
+        of the training part gave ``base_objective`` and ``base_pen`` (and,
+        with ``keep_terms``, the terms): one component per rule of
+        ``trainable``, in order.  With h = ``fd_eps``, a component is the
+        central difference when the scheme is central and both w + h and
+        w - h lie in [-1, 1], else the forward difference toward the inside
+        of [-1, 1].  An inf or NaN component raises NonFiniteObjective."""
         cfg = self.cfg
         h = cfg.fd_eps
-        part = self.train
-        terms = None
-        if cfg.use_tms and self.metric_has_terms:  # every probe restores its states
-            terms = self.metric_fn(part.states, part.labels, self.classes, per_object=True).per_object
+        terms = self.train.terms if self.keep_terms else None
         g: list[float] = []
         for rule in self.trainable:
             w = rule.weight
@@ -450,9 +399,16 @@ class _Session:
     def line_search(
         self, f_base: float, w: list[float], g: list[float], step: float
     ) -> tuple[bool, float, int, float, float, float]:
-        """Backtracking Armijo search along the projection arc
-        P(w - step g) from the weights ``w`` of ``trainable``, starting at
-        ``step``.  On failure the weights ``w`` are restored."""
+        """Backtracking search along the projection arc from the weights
+        ``w`` of ``trainable``, starting at ``step``: a trial step a is
+        accepted when f(P(w - a g)) <= f(w) - armijo_c * g.(w - P(w - a g))
+        (Armijo along the projection arc; Bertsekas 1976), one formula for
+        free, pinned and partly projected components.  Candidates are
+        projected before they are scored, so the recorded objective
+        sequence never increases.  A failed search (``max_backtracks``
+        exhausted) means the gradient gave no descent direction, e.g. at a
+        kink of the objective: the weights ``w`` are restored, not the
+        states, since training stops there and never reads them again."""
         cfg = self.cfg
         backtracks = 0
         while True:
@@ -475,8 +431,13 @@ class _Session:
 
     def descend(self) -> TrainingTrace:
         """Projected steepest descent from the current weights until a
-        stopping rule holds; returns the run's trace.  The weights are left
-        at the last accepted iterate."""
+        stopping rule holds; returns the run's trace, and leaves the weights
+        at the last accepted iterate.  Every weight is projected onto its
+        interval: the hard bound, else [-1, +1], since weights outside
+        [-1, +1] are not valid certainty factors and the objective is
+        undefined there.  Convergence (``tol_grad``) is tested on
+        projected_inf_norm, so an optimum on a bound is a stationary point,
+        not a search failure."""
         cfg = self.cfg
         f_cur, m_cur, p_cur = self.score(self.train)
         initial = {"objective": f_cur, "metric": m_cur, "penalty": p_cur}
@@ -582,14 +543,9 @@ def train(
     cfg: OptimizerConfig | None = None,
     metric_fn: MetricFn = margin_metric,
 ) -> tuple[RuleBase, TrainingTrace]:
-    """Minimize the objective over the trainable weights: train_multi()
-    without the per-start traces, so it runs ``multi_start`` starts.
-
-    Returns a trained copy of the rule base (the input is never mutated)
-    and the best start's trace.  The accepted-iterate objective sequence is
-    non-increasing by construction; non-trainable weights come back bit
-    identical.
-    """
+    """train_multi() without the per-start traces: a trained copy of the
+    rule base (the input is never mutated; weights that are not trained
+    come back bit identical) and the best start's trace."""
     return train_multi(rb, dataset, cfg, metric_fn)[:2]
 
 
@@ -634,10 +590,9 @@ def train_multi(
 
 
 def audit_budget(trace: TrainingTrace) -> str:
-    """Check the exact probe-count identity for forward-difference runs,
-    incremental or naive: probe_evals == gradients x objects x
-    trainable_rules.  Returns "pass", "fail", or "skipped" (central runs,
-    where a probe at a weight bound falls back to one side)."""
+    """Check EvaluationBudget's probe-count identity on a forward-difference
+    run, incremental or naive.  Returns "pass", "fail", or "skipped"
+    (central runs, where a probe at a weight bound falls back to one side)."""
     if trace.config.get("fd_scheme", "forward") != "forward":
         return "skipped"
     b = trace.budget

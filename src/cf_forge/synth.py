@@ -1,16 +1,6 @@
-"""Seeded generators for benchmark rule bases and training sets.
-
-``generate`` builds a flat classification problem: one rule per
-(feature, class) pair, ground truth assigning each class its own subset of
-the relevant features, and objects drawn so that noiseless data is
-separable by construction (verified by classifying every object with the
-expert weights before returning).  Irrelevant features carry no class
-signal and a noise fraction of objects gets their feature CFs smeared.
-
-``generate_shaped`` builds single-object bases shaped for complexity
-measurements: flat (every downstream closure is a singleton), chain (one
-dependency line), or a balanced binary tree of rules in which every
-internal proposition pools two child rules and feeds one parent rule.
+"""Seeded generators for benchmark rule bases and training sets:
+``generate`` for flat classification problems, ``generate_shaped`` for the
+flat, chain and tree bases of complexity measurements.
 """
 
 from __future__ import annotations
@@ -55,7 +45,8 @@ EXPERT_CROSS = -0.3
 
 
 def generate(spec: SynthSpec):
-    """Returns (zero-weight base, expert-weight base, objects, ground truth).
+    """Returns (zero-weight base, expert-weight base, objects, ground truth)
+    of a flat problem: one rule per (feature, class) pair.
 
     Ground truth maps each class to its relevant features (a round-robin
     partition of the relevant range).  Object CFs: own relevant features
@@ -63,7 +54,8 @@ def generate(spec: SynthSpec):
     U[-1, 1]; a noise-fraction of objects is additionally smeared by
     U[-0.4, 0.4] per feature, clamped.  Expert weights: +0.7 on true
     (feature, class) pairs, -0.3 on relevant-but-wrong-class pairs, 0.0 on
-    irrelevant pairs.
+    irrelevant pairs.  Noiseless data is separable by construction, which
+    is verified by classifying every object with the expert weights.
     """
     rng = random.Random(spec.seed)
     feats = [f"f{i:03d}" for i in range(spec.features)]

@@ -199,3 +199,12 @@ class TestAccuracy:
         rb, evs, labels = self.make([], [])
         with pytest.raises(EmptyDataset, match="no objects"):
             accuracy(evs, labels, rb)
+
+    @pytest.mark.parametrize("labels", [{"o0": "A"}, {"o0": "A", "o1": "C"}])
+    def test_a_missing_or_unknown_label_raises_as_in_margin_metric(self, labels):
+        # a missing label once raised a bare KeyError, and an unknown one
+        # counted as a miss
+        rb, evs, _ = self.make([(0.9, 0.1), (0.1, 0.9)], ["A", "B"])
+        for score in (lambda: margin_metric(evs, labels, CLASSES), lambda: accuracy(evs, labels, rb)):
+            with pytest.raises(UnknownLabel, match="'o1'"):
+                score()

@@ -291,8 +291,9 @@ class TestGradient:
     def test_rules_firing_on_every_object_or_none_refold_the_terms(self, scheme, monkeypatch):
         # margin_metric's probes read the objects a rule fires on, however
         # many: every object for r_f000_c0 and none for r_f001_c0, and refold
-        # the terms, so the only whole-metric calls are the score before the
-        # gradient and its terms; a one-object part takes the same route
+        # the terms, so the only whole-metric call is the score before the
+        # gradient, which keeps its terms; a one-object part takes the same
+        # route
         import cf_forge.metric as metric
 
         rb, data = self.mixed_firing_problem()
@@ -316,7 +317,7 @@ class TestGradient:
             cfg = OptimizerConfig(fd_scheme=scheme)
             assert {k: v.hex() for k, v in gradient(rb, objects, cfg, recording).items()} == grads[0]
             n = len(objects)
-            assert calls == [(n, False), (n, True)]  # the score, then the terms
+            assert calls == [(n, True)]  # the score, which keeps the terms
             assert probes.count(("r_f000_c0", n)) == probes.count(("r_f001_c0", 0)) == per_rule
             assert len(probes) == per_rule * sum(r.trainable for r in rb.rules)
 
@@ -351,7 +352,7 @@ class TestGradient:
         # one, keeps margin_metric's read-only probes
         monkeypatch.setattr(metric, "margin_metric", recording)
         assert {k: v.hex() for k, v in gradient(rb, data, cfg, recording).items()} == expected
-        assert sizes == [n, n] and len(probes) == probes_per_gradient
+        assert sizes == [n] and len(probes) == probes_per_gradient
         assert min(size for _, size in probes) < n
         for metric_fn in (positional, keywords):
             del sizes[:], probes[:]
