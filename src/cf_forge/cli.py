@@ -182,7 +182,7 @@ def cmd_eval(args) -> int:
         return 2
     rb, objects = loaded
     states, labels = _full_pass(rb, objects, args.tau)
-    m = margin_metric(states, labels, rb.output_classes, per_object=args.per_object)
+    m = margin_metric(states, labels, rb.output_classes)
     p = penalty(rb, PenaltyConfig(coefficient=args.mu))
     objective = m.value + p
     if not math.isfinite(objective):

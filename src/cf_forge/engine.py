@@ -23,7 +23,7 @@ from math import copysign
 from typing import Sequence
 
 from .algebra import combine_parallel, eval_expr
-from .errors import InconsistentState, NoOutputClasses
+from .errors import InconsistentState, NoOutputClasses, UnboundProposition
 from .model import RuleBase, TrainingObject
 
 
@@ -64,20 +64,21 @@ class ObjectEvaluation:
     contributions in its slot range [lo, hi).  threshold is the firing
     threshold of the last full pass, which perturbs and restores keep.
 
-    undo is the last perturb's undo log, or None: the perturbed rule's id
-    and antecedent CF, the contribution it overwrote (None when the rule
-    does not fire), and one (slot, old contribution, consequent, old CF)
-    entry per re-fire, in re-fire order.  Each perturb starts a fresh log;
-    a full pass and a replayed restore clear it.
+    undo is the pending undo log, or None: it exists only while a
+    perturb's writes are in the state.  It holds the perturbed rule's id
+    and antecedent CF, the contribution it overwrote, and one (slot, old
+    contribution, consequent, old CF) entry per re-fire, in re-fire order.
+    A perturb that writes starts a fresh log, one of a silent rule writes
+    nothing; a full pass and a replayed restore clear the log.
 
     prefix is None (the default) or an ``array('d')`` of prefix
     accumulators: a full pass records, before each slot k, the fold from
     0.0 of its consequent's slots [lo, k), so a re-fire refolds only
     [start, hi) from ``prefix[start]`` (start: see RuleBase.closure_plan).
     The prefixes hold the last full pass's contributions, so they are
-    valid only while non-empty and no pending undo log holds an entry; a
-    perturb that starts while one does (a kept perturb, or a restore that
-    re-fired) empties them until the next full pass.
+    valid only while non-empty and no undo log is pending; a perturb that
+    writes while one is (a kept perturb, or a restore that re-fired)
+    empties them until the next full pass.
     """
 
     __slots__ = ("object_id", "prop_cf", "contributions", "threshold", "counters", "undo", "prefix")
@@ -88,7 +89,7 @@ class ObjectEvaluation:
         self.contributions: list[float | None] = []
         self.threshold = DEFAULT_POLICY.threshold
         self.counters = EvalCounters()
-        self.undo: tuple[str, float, float | None, list] | None = None
+        self.undo: tuple[str, float, float, list] | None = None
         self.prefix: array | None = None
 
 
@@ -169,6 +170,11 @@ def _slots_disagree(state: ObjectEvaluation, n_rules: int) -> InconsistentState:
     )
 
 
+def _foreign(state: ObjectEvaluation, missing: Exception) -> InconsistentState:
+    prop = missing.args[0]
+    return InconsistentState(f"state of object {state.object_id!r} holds no CF for {prop!r}")
+
+
 def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weight: float) -> int:
     """Re-evaluate the state in place as if the rule's weight were
     ``new_weight`` (the base is not read for it, so probing never mutates
@@ -191,42 +197,43 @@ def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weig
     if len(contrib) != len(rb.rules):
         raise _slots_disagree(state, len(rb.rules))
     prop_cf = state.prop_cf
-    _, leaf, cons, _, slot, lo, hi, start = plan[0]
-    a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
-    saved = contrib[slot]
-    if (a > state.threshold) != (saved is not None):
-        raise InconsistentState(f"rule {rule_id!r} firing status disagrees with stored contributions")
-    pre = state.prefix
-    undo = state.undo
-    if pre and undo is not None and undo[3]:
-        del pre[:]  # the pending log's writes are still in the state
-    if saved is None:
-        state.undo = (rule_id, a, None, [])
-        return 0  # weight is irrelevant while the rule does not fire
-    old = prop_cf[cons]
-    log = [(slot, saved, cons, old)]
-    state.undo = (rule_id, a, saved, log)
-    contrib[slot] = new_weight * a
-    new = _fold(contrib, start, hi, pre[start]) if pre else _fold(contrib, lo, hi)
-    prop_cf[cons] = new
-    fired = 1
-    if len(plan) > 1 and new != old:
-        changed = {cons}
-        threshold = state.threshold
-        for r, leaf, cons, refs, s, lo, hi, start in plan[1:]:
-            if changed.isdisjoint(refs):
-                continue
-            a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
-            fired += 1
-            old = prop_cf[cons]
-            log.append((s, contrib[s], cons, old))
-            contrib[s] = r.weight * a if a > threshold else None
-            new = _fold(contrib, start, hi, pre[start]) if pre else _fold(contrib, lo, hi)
-            prop_cf[cons] = new
-            if new != old:
-                changed.add(cons)
-    state.counters.rules_fired += fired
-    return fired
+    try:
+        _, leaf, cons, _, slot, lo, hi, start = plan[0]
+        a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
+        saved = contrib[slot]
+        if (a > state.threshold) != (saved is not None):
+            raise InconsistentState(f"rule {rule_id!r} firing status disagrees with stored contributions")
+        if saved is None:
+            return 0  # weight is irrelevant while the rule does not fire
+        pre = state.prefix
+        if pre and state.undo is not None:
+            del pre[:]  # the pending log's writes are still in the state
+        old = prop_cf[cons]
+        log = [(slot, saved, cons, old)]
+        state.undo = (rule_id, a, saved, log)
+        contrib[slot] = new_weight * a
+        new = _fold(contrib, start, hi, pre[start]) if pre else _fold(contrib, lo, hi)
+        prop_cf[cons] = new
+        fired = 1
+        if len(plan) > 1 and new != old:
+            changed = {cons}
+            threshold = state.threshold
+            for r, leaf, cons, refs, s, lo, hi, start in plan[1:]:
+                if changed.isdisjoint(refs):
+                    continue
+                a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
+                fired += 1
+                old = prop_cf[cons]
+                log.append((s, contrib[s], cons, old))
+                contrib[s] = r.weight * a if a > threshold else None
+                new = _fold(contrib, start, hi, pre[start]) if pre else _fold(contrib, lo, hi)
+                prop_cf[cons] = new
+                if new != old:
+                    changed.add(cons)
+        state.counters.rules_fired += fired
+        return fired
+    except (KeyError, UnboundProposition) as e:  # the base reads a proposition the state lacks
+        raise _foreign(state, e) from None
 
 
 def probe_consequent(
@@ -252,25 +259,27 @@ def probe_consequent(
     _, leaf, cons, _, slot, lo, hi, _ = plan[0]
     n_rules = len(rb.rules)
     positions, cfs = [], []
-    for i, state in enumerate(states):
-        contrib = state.contributions
-        if len(contrib) != n_rules:
-            raise _slots_disagree(state, n_rules)
-        if contrib[slot] is None:
-            continue
-        prop_cf = state.prop_cf
-        a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
-        if not a > state.threshold:
-            raise InconsistentState(f"rule {rule_id!r} firing status disagrees with stored contributions")
-        pre = state.prefix
-        undo = state.undo
-        if pre and (undo is None or not undo[3]):  # no pending log's writes
-            acc = pre[slot]
-        else:
-            acc = _fold(contrib, lo, slot)
-        positions.append(i)
-        cfs.append(_fold(contrib, slot + 1, hi, combine_parallel(acc, new_weight * a)))
-        state.counters.rules_fired += 1
+    try:
+        for i, state in enumerate(states):
+            contrib = state.contributions
+            if len(contrib) != n_rules:
+                raise _slots_disagree(state, n_rules)
+            if contrib[slot] is None:
+                continue
+            prop_cf = state.prop_cf
+            a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
+            if not a > state.threshold:
+                raise InconsistentState(f"rule {rule_id!r} firing status disagrees with stored contributions")
+            pre = state.prefix
+            if pre and state.undo is None:
+                acc = pre[slot]
+            else:
+                acc = _fold(contrib, lo, slot)
+            positions.append(i)
+            cfs.append(_fold(contrib, slot + 1, hi, combine_parallel(acc, new_weight * a)))
+            state.counters.rules_fired += 1
+    except (KeyError, UnboundProposition) as e:
+        raise _foreign(state, e) from None
     return cons, positions, cfs
 
 
@@ -279,23 +288,22 @@ def restore_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, old_weig
     ``old_weight``; returns the number of rules re-fired.
 
     When the pending undo log is this rule's and ``old_weight`` gives the
-    contribution the log saved, bit for bit (always, for a rule that does
-    not fire), the log is written back in reverse and consumed: no combine
-    arithmetic, no firing, and 0 is returned, so the state is the
-    pre-probe one by construction.  The log assumes the base was not
-    changed between the perturb and the restore.  Otherwise (no pending
-    log, another rule's log, or another contribution) the closure re-fires
-    exactly as perturb_weight(old_weight) would.  Either way the state ends
-    bit-identical to a fresh full pass at ``old_weight``, and a probe pair
-    costs one closure re-fire, not two: on a flat base, one refold of
-    [start, hi) plus O(1) bookkeeping.
+    contribution the log saved, bit for bit, the log is written back in
+    reverse and consumed: no combine arithmetic, no firing, and 0 is
+    returned, so the state is the pre-probe one by construction.  The log
+    assumes the base was not changed between the perturb and the restore.
+    Otherwise (no pending log, another rule's log, or another contribution)
+    the closure re-fires exactly as perturb_weight(old_weight) would.
+    Either way the state ends bit-identical to a fresh full pass at
+    ``old_weight``, and a probe pair costs one closure re-fire, not two: on
+    a flat base, one refold of [start, hi) plus O(1) bookkeeping.
     """
     undo = state.undo
     if undo is not None and undo[0] == rule_id:
         _, a, saved, log = undo
         c = old_weight * a
         # == alone would let a -0.0 contribution stand in for +0.0
-        if saved is None or (c == saved and (c or copysign(1.0, c) == copysign(1.0, saved))):
+        if c == saved and (c or copysign(1.0, c) == copysign(1.0, saved)):
             state.undo = None
             contrib = state.contributions
             prop_cf = state.prop_cf

@@ -6,9 +6,9 @@ Each mechanism is stated once:
 - one object's term, its one definition: ``margin_term``;
 - the soft-bound quadratic hinge: ``PenaltyConfig`` and ``penalty``;
 - the discrete diagnostic, for reporting only: ``accuracy``;
-- how the trainer probes a plug-in metric, any callable mapping
-  (evaluations, labels, classes) to a MetricValue:
-  ``optimizer._Session._probe_objective``.
+- how the trainer probes this metric by refolding its terms, and any
+  plug-in, a callable mapping (evaluations, labels, classes) to a
+  MetricValue, by full passes: ``optimizer._Session._probe_objective``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ def margin_metric(
     evaluations: Sequence[ObjectEvaluation],
     labels: Mapping[str, str],
     classes: Sequence[str],
-    per_object: bool = False,
 ) -> MetricValue:
     """Sum over the objects, in the given order, and over each object's
     other classes, in sorted order, of (2 + (cf_wrong - cf_true))^2.  The
@@ -63,21 +62,21 @@ def margin_metric(
     the contract, so results are bit-reproducible.  A label missing from
     ``labels`` or not in ``classes`` raises UnknownLabel.
 
-    With ``per_object`` the result carries each object's term.  A term
-    depends only on its own object's evaluation, and value is the left
-    fold from 0.0 of the terms (``v = 0.0; for t in terms: v += t``), bit
-    for bit, so a probe may re-score only the objects it changed and refold
-    the terms to the very value a whole call would give.  A plug-in's
-    terms promise neither (a mean's depend on the object count)."""
+    The result carries each object's term.  A term depends only on its
+    own object's evaluation, and value is the left fold from 0.0 of the
+    terms (``v = 0.0; for t in terms: v += t``), bit for bit, so a probe
+    may re-score only the objects it changed and refold the terms to the
+    very value a whole call would give.  A plug-in's terms promise neither
+    (a mean's depend on the object count), so only this metric's are
+    refolded."""
     class_order = sorted(classes)
     class_set = set(class_order)
-    terms: list[float] | None = [] if per_object else None
+    terms: list[float] = []
     total = 0.0
     for ev in evaluations:
         term = margin_term(ev.prop_cf, _label(ev, labels, class_set), class_order)
         total += term
-        if terms is not None:
-            terms.append(term)
+        terms.append(term)
     return MetricValue(value=total, per_object=terms)
 
 

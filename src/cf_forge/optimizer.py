@@ -6,8 +6,8 @@ each mechanism is stated once:
 - the one scoring routine of every full pass: ``_Session.score``;
 - the difference formulas, and the penalty and terms a gradient reuses
   from its score: ``_Session.gradient``;
-- the two probe routes, and why each gives the full-evaluation value bit
-  for bit: ``_Session._probe_objective``;
+- the probe routes, full pass or incremental, and why each gives the
+  full-evaluation value bit for bit: ``_Session._probe_objective``;
 - the Armijo test along the projection arc: ``_Session.line_search``, and
   its Barzilai-Borwein first trial step: ``_bb_step``;
 - the probe-count identity and the firing count: ``EvaluationBudget``,
@@ -54,7 +54,7 @@ class OptimizerConfig:
     tol_objective: float = 1e-6  # relative decrease, over tol_objective_window iterations
     tol_objective_window: int = 3
     tol_grad: float = 1e-6  # infinity norm
-    use_tms: bool = True
+    use_tms: bool = True  # probes refold margin_metric's terms; other metrics: full passes
     seed: int = 0
     multi_start: int = 1
     holdout_fraction: float = 0.0
@@ -256,12 +256,12 @@ class _Session:
             seen.add(o.id)
         self.train = _Part(objects)
         self.holdout = _Part(holdout)
-        if cfg.use_tms:  # the training states are the ones probes perturb
+        # looked up on the module, so a wrapper installed there (as the
+        # profiler's is) and passed in still probes incrementally
+        self.incremental = cfg.use_tms and metric_fn is metric.margin_metric
+        if self.incremental:  # the training states are the ones probes perturb
             for st in self.train.states:
                 st.prefix = array("d")
-        # looked up on the module, so a wrapper installed there (as the
-        # profiler's is) and passed in keeps the per-object path
-        self.keep_terms = cfg.use_tms and metric_fn is metric.margin_metric
         self.budget = budget if budget is not None else EvaluationBudget()
         self.budget.objects = len(self.train.objects)
         self.budget.trainable_rules = len(self.trainable)
@@ -269,18 +269,15 @@ class _Session:
     def score(self, part: _Part) -> tuple[float, float, float]:
         """Full pass over the part's states at the current weights:
         (objective, metric, penalty); NonFiniteObjective when the objective
-        is inf or NaN.  Every full pass comes through here, each probe of
-        naive mode (``use_tms`` off) too, so after a naive gradient the
+        is inf or NaN.  Every full pass comes through here, each probe
+        that is not ``incremental`` too, so after such a gradient the
         training states hold the last probe, unread, until the next score.
-        With ``keep_terms`` the training part keeps its margin_metric
-        terms, which the next gradient reads."""
+        The part keeps the metric's per-object terms, which the next
+        incremental gradient reads."""
         for st, obj in zip(part.states, part.objects):
             evaluate_full(self.rb, obj, self.policy, into=st)
-        if self.keep_terms and part is self.train:
-            mv = self.metric_fn(part.states, part.labels, self.classes, per_object=True)
-            part.terms = mv.per_object
-        else:
-            mv = self.metric_fn(part.states, part.labels, self.classes)
+        mv = self.metric_fn(part.states, part.labels, self.classes)
+        part.terms = mv.per_object
         m = mv.value
         p = penalty(self.rb, self.cfg.penalty)
         f = m + p
@@ -293,92 +290,81 @@ class _Session:
         parts = (self.train, self.holdout)
         return sum(st.counters.rules_fired for part in parts for st in part.states)
 
-    def _probe_objective(
-        self, rule: Rule, w_probe: float, base_pen: float, terms: list[float] | None
-    ) -> float:
+    def _probe_objective(self, rule: Rule, w_probe: float, base_pen: float) -> float:
         """Objective with one weight displaced, everything else fixed;
-        ``base_pen`` is the penalty of the undisplaced base and ``terms``
-        its margin_metric terms (None for a plug-in).
+        ``base_pen`` is the penalty of the undisplaced base.
 
-        In naive mode a probe is a full pass.  Otherwise only the objects
-        the rule fires on can change; the probe finds them from the states'
+        A probe that is not ``incremental`` (``use_tms`` off, or any metric
+        but margin_metric) is a full pass.  An incremental probe refolds the
+        training part's margin_metric terms: only the objects the rule
+        fires on can change, and the probe finds them from the states'
         stored contributions, by one of two routes picked by the rule's
-        closure and the metric alone, never by the object count.  When the
-        terms exist and the rule's closure plan is the rule alone (no rule
-        reads its consequent, as on a flat base), it only reads:
-        engine.probe_consequent gives the consequent's CF on each object
-        the rule fires on, and margin_term re-scores those objects with it.
-        Otherwise perturb_weight runs on every state, the states it re-fired
-        in are re-scored (a plug-in, whose terms need not be per-object,
-        gets one whole-metric call), and restore_weight replays their undo
-        logs.  The terms, those replaced, are refolded as margin_metric
-        allows.  Both routes give the same value, firings and combines; the
-        engine is exact, and the refolded terms and reused penalty are the
-        values a rescan gives, so the incremental gradient equals the
-        full-evaluation gradient bit for bit at O(closure) firings per
-        changed object."""
+        closure alone, never by the object count.  When the rule's closure
+        plan is the rule alone (no rule reads its consequent, as on a flat
+        base), it only reads: engine.probe_consequent gives the
+        consequent's CF on each object the rule fires on, and margin_term
+        re-scores those objects with it.  Otherwise perturb_weight runs on
+        every state, and each state it re-fired in is re-scored and
+        restore_weight replays its undo log.  The terms, those replaced,
+        are refolded as margin_metric allows.  Both routes give the same
+        value, firings and combines; the engine is exact, and the refolded
+        terms and reused penalty are the values a rescan gives, so the
+        incremental gradient equals the full-evaluation gradient bit for
+        bit at O(closure) firings per changed object."""
         old = rule.weight
         rule.weight = w_probe
         try:
-            if self.cfg.use_tms:
+            if not self.incremental:
+                value = self.score(self.train)[0]
+            else:
                 part = self.train
                 states, labels, classes = part.states, part.labels, self.classes
                 rb, rule_id = self.rb, rule.id
-                if terms is not None and len(rb.closure_plan(rule_id)) == 1:
+                probed = part.terms.copy()
+                if len(rb.closure_plan(rule_id)) == 1:
                     cons, changed, cfs = probe_consequent(states, rb, rule_id, w_probe)
-                    probed = terms.copy()
                     for i, cf in zip(changed, cfs):
                         st = states[i]
                         probed[i] = margin_term(st.prop_cf, labels[st.object_id], classes, cons, cf)
-                    value = reduce(add, probed, 0.0)
                 else:
                     # bound per probe, not at import, so a wrapper installed
                     # on this module still sees every call
                     perturb, restore = perturb_weight, restore_weight
-                    # 0 re-fires exactly where the rule is silent: nothing changed
-                    changed = [i for i, st in enumerate(states) if perturb(st, rb, rule_id, w_probe)]
-                    if terms is None:
-                        value = self.metric_fn(states, labels, classes).value
-                    else:
-                        probed = terms.copy()
-                        for i in changed:
-                            st = states[i]
+                    for i, st in enumerate(states):
+                        # 0 re-fires exactly where the rule is silent: nothing changed
+                        if perturb(st, rb, rule_id, w_probe):
                             probed[i] = margin_term(st.prop_cf, labels[st.object_id], classes)
-                        value = reduce(add, probed, 0.0)
-                    for i in changed:
-                        restore(states[i], rb, rule_id, old)
+                            restore(st, rb, rule_id, old)
+                value = reduce(add, probed, 0.0)
                 if rule.bound_kind == SOFT:
                     value += penalty(rb, self.cfg.penalty)
                 else:  # the rule adds no penalty term at any weight
                     value += base_pen
-            else:
-                value = self.score(self.train)[0]
         finally:
             rule.weight = old
         self.budget.probe_evals += len(self.train.objects)
         return value
 
     def gradient(self, base_objective: float, base_pen: float) -> list[float]:
-        """Finite-difference gradient at the current weights, where score()
-        of the training part gave ``base_objective`` and ``base_pen`` (and,
-        with ``keep_terms``, the terms): one component per rule of
-        ``trainable``, in order.  With h = ``fd_eps``, a component is the
-        central difference when the scheme is central and both w + h and
-        w - h lie in [-1, 1], else the forward difference toward the inside
-        of [-1, 1].  An inf or NaN component raises NonFiniteObjective."""
+        """Finite-difference gradient at the current weights, where score() of
+        the training part gave ``base_objective`` and ``base_pen`` (and the
+        terms): one component per rule of ``trainable``, in order.  With h =
+        ``fd_eps``, a component is the central difference when the scheme is
+        central and both w + h and w - h lie in [-1, 1], else the forward
+        difference toward the inside of [-1, 1].  An inf or NaN component
+        raises NonFiniteObjective."""
         cfg = self.cfg
         h = cfg.fd_eps
-        terms = self.train.terms if self.keep_terms else None
         g: list[float] = []
         for rule in self.trainable:
             w = rule.weight
             if cfg.fd_scheme == "central" and w + h <= 1.0 and w - h >= -1.0:
-                f_hi = self._probe_objective(rule, w + h, base_pen, terms)
-                f_lo = self._probe_objective(rule, w - h, base_pen, terms)
+                f_hi = self._probe_objective(rule, w + h, base_pen)
+                f_lo = self._probe_objective(rule, w - h, base_pen)
                 g.append((f_hi - f_lo) / (2.0 * h))
             else:
                 e = h if w + h <= 1.0 else -h
-                f = self._probe_objective(rule, w + e, base_pen, terms)
+                f = self._probe_objective(rule, w + e, base_pen)
                 g.append((f - base_objective) / e)
             if not math.isfinite(g[-1]):
                 what = f"gradient component of rule {rule.id!r}"

@@ -6,13 +6,15 @@ reader nowhere, so every double-backticked identifier or dotted name in a
 ``cf_forge`` module docstring must resolve to an attribute of that module,
 of one of its classes, or of the package.  The README's layout table must
 name modules that exist, and ``tools/src_lines.py``, which counts the
-``src/`` lines by kind, must count each line once.
+``src/`` lines by kind, must count each line once, at a git revision too.
 """
 
 import importlib
 import pkgutil
 import re
 import runpy
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -81,3 +83,27 @@ def f():
     for path in (ROOT / "src" / "cf_forge").glob("*.py"):
         text = path.read_text(encoding="utf-8")
         assert sum(count(text).values()) == len(text.splitlines())
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not on PATH")
+def test_src_lines_counts_a_revision_and_the_delta(tmp_path, capsys):
+    main = runpy.run_path(str(ROOT / "tools" / "src_lines.py"))["main"]
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text('"""Doc."""\nx = 1\n')
+    (tmp_path / "outside.py").write_text("w = 0\n")  # not under src: never counted
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("-c", "user.name=t", "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false",
+        "commit", "-q", "-m", "one")
+    (pkg / "a.py").write_text('"""Doc."""\nx = 1\n# note\n\ny = 2\n')
+    (pkg / "b.py").write_text("z = 3\n")
+    assert main(["src_lines.py", "--against", "HEAD", str(tmp_path / "src")]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[-3] == ["total", "6", "3", "1", "1", "1"]
+    assert rows[-2] == ["total", "at", "HEAD", "2", "1", "1", "0", "0"]
+    assert rows[-1] == ["delta", "4", "2", "0", "1", "1"]

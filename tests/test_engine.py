@@ -325,6 +325,27 @@ class TestPerturb:
         with pytest.raises(InconsistentState):
             perturb_weight(st, rb, "r1", 0.2)
 
+    @pytest.mark.parametrize("entry", ["perturb_weight", "restore_weight", "probe_consequent"])
+    def test_a_state_of_another_base_with_as_many_rules_raises(self, entry):
+        # both bases hold one rule r1 into c, one reading f, the other g, as
+        # a bare reference or inside a compound antecedent: the slot counts
+        # agree, and the state holds no CF for g
+        def base(leaf, compound):
+            props = [Proposition(p, INPUT) for p in (leaf, "e")]
+            props.append(Proposition("c", DERIVED, output_class=True))
+            ante = And((Ref(leaf), Ref("e"))) if compound else Ref(leaf)
+            return RuleBase(props, [Rule(id="r1", antecedent=ante, consequent="c", weight=0.8)])
+
+        obj = TrainingObject(id="o", facts={"f": 0.6, "e": 0.7}, label="c")
+        for compound in (False, True):
+            state = evaluate_full(base("f", compound), obj)
+            rb = base("g", compound)
+            with pytest.raises(InconsistentState, match="no CF for 'g'"):
+                if entry == "probe_consequent":
+                    engine.probe_consequent([state], rb, "r1", 0.5)
+                else:
+                    getattr(engine, entry)(state, rb, "r1", 0.5)
+
     def test_probes_find_the_states_a_rule_fires_in(self):
         rb = single_rule_base()
         facts = [0.5, -0.4, 0.0, 0.9]
@@ -915,6 +936,32 @@ class TestCounters:
             assert perturb_weight(state, rb, "r2", 0.2) == 1
         assert calls[0] == 3 and len(state.prefix) == 0
         assert bit_snapshot(state, rb) == bit_snapshot(full_oracle(rb, obj, "r2", 0.2), rb)
+
+    def test_a_silent_perturb_leaves_the_pending_log_and_the_prefixes(self):
+        # three rules into c, r1 silent: its perturb writes nothing, so r0's
+        # kept log stays pending, r0's restore replays it, and the prefixes
+        # stay valid
+        props = [Proposition(f"f{i}", INPUT) for i in range(3)]
+        props.append(Proposition("c", DERIVED, output_class=True))
+        rules = [
+            Rule(id=f"r{i}", antecedent=Ref(f"f{i}"), consequent="c", weight=0.5)
+            for i in range(3)
+        ]
+        rb = RuleBase(props, rules)
+        obj = TrainingObject(id="o", facts={"f0": 0.5, "f1": -0.4, "f2": 0.3}, label="c")
+        state = evaluate(rb, obj, prefix=True)
+        prefix = list(state.prefix)
+        assert perturb_weight(state, rb, "r0", 0.9) == 1
+        rb.rule("r0").weight = 0.9
+        assert perturb_weight(state, rb, "r1", 0.2) == 0
+        assert restore_weight(state, rb, "r0", 0.5) == 0
+        rb.rule("r0").weight = 0.5
+        assert state.undo is None and list(state.prefix) == prefix
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_calls(mp, "combine_parallel")
+            _, positions, cfs = engine.probe_consequent([state], rb, "r2", 0.7)
+        assert positions == [0] and calls[0] == 1  # read from r2's prefix
+        assert cfs[0].hex() == full_oracle(rb, obj, "r2", 0.7).prop_cf["c"].hex()
 
 
 class TestClassify:

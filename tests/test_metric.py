@@ -67,7 +67,7 @@ class TestMarginMetric:
             for i in range(9)
         ]
         labels = {f"o{i}": rng.choice(CLASSES) for i in range(9)}
-        m = margin_metric(evs, labels, CLASSES, per_object=True)
+        m = margin_metric(evs, labels, CLASSES)
         assert m.value == pytest.approx(sum(m.per_object), abs=1e-12)
         assert len(m.per_object) == 9
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,9 +300,9 @@ class TestGradient:
         rb, data = self.mixed_firing_problem()
         calls = []
 
-        def recording(evaluations, labels, classes, per_object=False):
-            calls.append((len(evaluations), per_object))
-            return margin_metric(evaluations, labels, classes, per_object)
+        def recording(evaluations, labels, classes):
+            calls.append(len(evaluations))
+            return margin_metric(evaluations, labels, classes)
 
         monkeypatch.setattr(metric, "margin_metric", recording)
         probes = self.record_probes(monkeypatch)
@@ -317,7 +318,7 @@ class TestGradient:
             cfg = OptimizerConfig(fd_scheme=scheme)
             assert {k: v.hex() for k, v in gradient(rb, objects, cfg, recording).items()} == grads[0]
             n = len(objects)
-            assert calls == [(n, True)]  # the score, which keeps the terms
+            assert calls == [n]  # the score, which keeps the terms
             assert probes.count(("r_f000_c0", n)) == probes.count(("r_f001_c0", 0)) == per_rule
             assert len(probes) == per_rule * sum(r.trainable for r in rb.rules)
 
@@ -331,9 +332,9 @@ class TestGradient:
 
         sizes = []
 
-        def recording(evaluations, labels, classes, per_object=False):
+        def recording(evaluations, labels, classes):
             sizes.append(len(evaluations))
-            return margin_metric(evaluations, labels, classes, per_object)
+            return margin_metric(evaluations, labels, classes)
 
         def positional(evaluations, labels, classes):
             sizes.append(len(evaluations))
@@ -363,13 +364,13 @@ class TestGradient:
     def test_a_mean_plug_in_gets_the_naive_gradient(self, scheme):
         # its terms left-fold to its value, but each depends on the object
         # count, so re-scoring only the objects a probe changed would be wrong
-        def mean(evaluations, labels, classes, per_object=False):
-            m = margin_metric(evaluations, labels, classes, per_object=True)
+        def mean(evaluations, labels, classes):
+            m = margin_metric(evaluations, labels, classes)
             terms = [t / len(evaluations) for t in m.per_object]
             value = 0.0
             for t in terms:
                 value += t
-            return MetricValue(value, terms if per_object else None)
+            return MetricValue(value, terms)
 
         rb, data, _ = self.partly_silent_problem()
         grads = [
@@ -378,6 +379,23 @@ class TestGradient:
             for tms in (True, False)
         ]
         assert grads[0] == grads[1]
+
+    @pytest.mark.parametrize("scheme", ["forward", "central"])
+    def test_a_plug_in_is_probed_by_full_passes_in_either_mode(self, scheme):
+        # only margin_metric's terms are refolded, so use_tms changes
+        # nothing for a plug-in: every probe is a full pass
+        plug_in = lambda evaluations, labels, classes: margin_metric(evaluations, labels, classes)
+        rb, data, states = self.partly_silent_problem()
+        runs = []
+        for tms in (True, False):
+            budget = EvaluationBudget()
+            cfg = OptimizerConfig(fd_scheme=scheme, use_tms=tms)
+            g = gradient(rb, data, cfg, plug_in, budget)
+            runs.append(({k: v.hex() for k, v in g.items()}, budget.probe_evals, budget.firings))
+        assert runs[0] == runs[1]
+        probes = (2 if scheme == "central" else 1) * len(rb.rules)
+        pass_firings = sum(c is not None for s in states for c in s.contributions)
+        assert runs[0][2] == (1 + probes) * pass_firings
 
     def test_probes_perturb_only_the_objects_a_rule_fires_on(self, monkeypatch):
         rb, data, states = self.partly_silent_problem()
@@ -454,18 +472,71 @@ class TestGradient:
         gradient(rb, objects, OptimizerConfig(), metric_fn)
         return counts
 
+    @staticmethod
+    def hidden_layer_problem():
+        """Inputs f0-f3 into hidden h0 and h1, the hidden layer and f0 into
+        classes c0-c2, weights and facts drawn: the f -> h rules have
+        dependents, the rules into a class do not, and every rule is silent
+        on some objects."""
+        rng = random.Random(7)
+        props = [Proposition(f"f{i}", INPUT) for i in range(4)]
+        props += [Proposition(f"h{j}", DERIVED) for j in range(2)]
+        props += [Proposition(f"c{k}", DERIVED, output_class=True) for k in range(3)]
+        edges = [(f"f{i}", f"h{j}") for i in range(4) for j in range(2)]
+        edges += [(src, f"c{k}") for src in ("h0", "h1", "f0") for k in range(3)]
+        rules = [Rule(id=f"r_{src}_{dst}", antecedent=Ref(src), consequent=dst,
+                      weight=rng.uniform(-0.9, 0.9)) for src, dst in edges]
+        rb = RuleBase(props, rules)
+        objects = [
+            TrainingObject(id=f"o{n}", facts={f"f{i}": rng.uniform(-1.0, 1.0) for i in range(4)},
+                           label=f"c{rng.randrange(3)}")
+            for n in range(10)
+        ]
+        states = [evaluate_full(rb, o) for o in objects]
+        for slot in range(len(rules)):
+            assert 0 < sum(s.contributions[slot] is not None for s in states) < len(objects)
+        return rb, objects, states
+
     def test_a_tracer_sees_every_probe_call_and_combine(self, monkeypatch):
-        # a plug-in metric has no terms, so its probes perturb every object;
-        # where the rule fires each refolds the same slots as a read-only
-        # probe and the restore replays, and elsewhere nothing is combined
-        # or restored
-        rb, objects, pairs, combines = self.flat_probe_problem()
-        plug_in = lambda evaluations, labels, classes: margin_metric(evaluations, labels, classes)
-        counts = self.traced_probes(monkeypatch, rb, objects, plug_in)
-        assert counts["perturb_weight"] == len(rb.rules) * len(objects)
-        assert counts["restore_weight"] == pairs
-        assert counts["probe_consequent"] == 0
-        assert counts["combines"] == combines
+        # a rule with dependents perturbs every object and restores those it
+        # re-fired in; a rule whose closure is itself makes one read-only
+        # probe; the combines inside probes are those the engine makes when
+        # each probe is run on its own from a fresh full pass
+        import cf_forge.engine as engine
+
+        rb, objects, states = self.hidden_layer_problem()
+        deep = [r for r in rb.rules if len(rb.closure_plan(r.id)) > 1]
+        flat = [r for r in rb.rules if len(rb.closure_plan(r.id)) == 1]
+        assert deep and flat
+        slots = {r.id: i for i, r in enumerate(rb.rules)}
+        fired_in = {r.id: sum(s.contributions[slots[r.id]] is not None for s in states)
+                    for r in rb.rules}
+        combines = [0]
+        combine = engine.combine_parallel
+
+        def counting(x, y):
+            combines[0] += 1
+            return combine(x, y)
+
+        h = OptimizerConfig().fd_eps
+        for r in rb.rules:
+            for o in objects:
+                state = engine.ObjectEvaluation(o.id)
+                state.prefix = array("d")
+                evaluate_full(rb, o, into=state)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(engine, "combine_parallel", counting)
+                    if len(rb.closure_plan(r.id)) == 1:
+                        engine.probe_consequent([state], rb, r.id, r.weight + h)
+                    elif engine.perturb_weight(state, rb, r.id, r.weight + h):
+                        engine.restore_weight(state, rb, r.id, r.weight)
+        counts = self.traced_probes(monkeypatch, rb, objects)
+        assert counts["perturb_weight"] == len(deep) * len(objects)
+        assert counts["restore_weight"] == sum(fired_in[r.id] for r in deep)
+        assert counts["restore_weight"] < counts["perturb_weight"]
+        assert counts["probe_consequent"] == len(flat)
+        assert counts["states"] == sum(fired_in[r.id] for r in flat)
+        assert counts["combines"] == combines[0] > 0
 
     def test_a_tracer_sees_every_read_only_probe_and_combine(self, monkeypatch):
         # margin_metric's probes of a flat base read: one call per probe

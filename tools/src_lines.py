@@ -7,13 +7,18 @@ line holds nothing but a ``#`` comment; a line of code with a trailing
 comment counts as code.  Every other line is code.  The four kinds add up
 to the file's line count.
 
-Usage: ``python3 tools/src_lines.py [SRC_DIR]`` (default: ``src`` beside
-this script's directory).  Prints one row per module and a total row.
+Usage: ``python3 tools/src_lines.py [--against REV] [SRC_DIR]``
+(default: ``src`` beside this script's directory).  Prints one row per
+module and a total row.  With ``--against REV`` it also counts SRC_DIR as
+git revision REV holds it (read with ``git ls-tree`` and ``git show``) and
+prints that total and a delta row, this tree minus REV, per kind.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,17 +60,51 @@ def count(source: str) -> dict[str, int]:
     return counts
 
 
+def revision_sources(root: Path, rev: str) -> dict[str, str]:
+    """The ``.py`` files under ``root`` at git revision ``rev``, by path
+    relative to ``root``."""
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-C", str(root), *args], capture_output=True, check=True, encoding="utf-8"
+        ).stdout
+
+    names = git("ls-tree", "-r", "--name-only", rev).splitlines()
+    return {name: git("show", f"{rev}:./{name}") for name in names if name.endswith(".py")}
+
+
+def row(name: str, counts: dict[str, int]) -> str:
+    return f"{name:<32}{sum(counts.values()):>7}" + "".join(f"{counts[k]:>11}" for k in KINDS)
+
+
+def total(sources: dict[str, str]) -> dict[str, int]:
+    """The counts of ``sources`` (path -> text), summed by kind."""
+    counts = [count(text) for text in sources.values()]
+    return {k: sum(c[k] for c in counts) for k in KINDS}
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src"
-    total = dict.fromkeys(KINDS, 0)
+    parser = argparse.ArgumentParser(description="Count src/ lines by kind.")
+    parser.add_argument("src_dir", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "src")
+    parser.add_argument("--against", metavar="REV", help="also count the git revision REV")
+    args = parser.parse_args(argv[1:])
+    root = args.src_dir
+    sources = {
+        p.relative_to(root).as_posix(): p.read_text(encoding="utf-8") for p in root.rglob("*.py")
+    }
     print(f"{'module':<32}{'lines':>7}" + "".join(f"{k:>11}" for k in KINDS))
-    for path in sorted(root.rglob("*.py")):
-        counts = count(path.read_text(encoding="utf-8"))
-        for k in KINDS:
-            total[k] += counts[k]
-        name = str(path.relative_to(root))
-        print(f"{name:<32}{sum(counts.values()):>7}" + "".join(f"{counts[k]:>11}" for k in KINDS))
-    print(f"{'total':<32}{sum(total.values()):>7}" + "".join(f"{total[k]:>11}" for k in KINDS))
+    for name in sorted(sources):
+        print(row(name, count(sources[name])))
+    now = total(sources)
+    print(row("total", now))
+    if args.against is not None:
+        try:
+            then = total(revision_sources(root, args.against))
+        except subprocess.CalledProcessError as e:
+            sys.exit(f"git: {e.stderr.strip()}")
+        print(row(f"total at {args.against}", then))
+        print(row("delta", {k: now[k] - then[k] for k in KINDS}))
     return 0
 
 
