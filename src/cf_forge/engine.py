@@ -2,8 +2,8 @@
 a trainer makes one weight at a time.  Each mechanism is stated once:
 
 - when a rule fires and how a consequent folds: ``evaluate_full``;
-- the fold invariant, the undo log's entries, and the prefix accumulators
-  with their validity rule: ``ObjectEvaluation``;
+- the plan key a probe checks, the fold invariant, the undo log's entries,
+  and the prefix accumulators with their validity rule: ``ObjectEvaluation``;
 - the incremental re-fire and why it is bit-exact: ``perturb_weight``;
 - the undo log's replay: ``restore_weight``;
 - the read-only probe: ``probe_consequent``;
@@ -23,7 +23,7 @@ from math import copysign
 from typing import Sequence
 
 from .algebra import combine_parallel, eval_expr
-from .errors import InconsistentState, NoOutputClasses, UnboundProposition
+from .errors import InconsistentState, NoOutputClasses
 from .model import RuleBase, TrainingObject
 
 
@@ -64,6 +64,14 @@ class ObjectEvaluation:
     contributions in its slot range [lo, hi).  threshold is the firing
     threshold of the last full pass, which perturbs and restores keep.
 
+    plan_key is the key of the firing plan the last full pass walked (see
+    model.FiringPlan), or None before any.  perturb_weight and
+    probe_consequent refuse the state, with InconsistentState and before
+    any write, under a base whose plan has another key: any other base,
+    ``rb.copy()`` of its own included.  No trainer probes such a state,
+    since each session evaluates its own copy.  A deep copy of the state
+    keeps its key, so it is accepted under its base as the original is.
+
     undo is the pending undo log, or None: it exists only while a
     perturb's writes are in the state.  It holds the perturbed rule's id
     and antecedent CF, the contribution it overwrote, and one (slot, old
@@ -81,7 +89,7 @@ class ObjectEvaluation:
     empties them until the next full pass.
     """
 
-    __slots__ = ("object_id", "prop_cf", "contributions", "threshold", "counters", "undo", "prefix")
+    __slots__ = ("object_id", "prop_cf", "contributions", "threshold", "counters", "undo", "prefix", "plan_key")
 
     def __init__(self, object_id: str):
         self.object_id = object_id
@@ -91,6 +99,7 @@ class ObjectEvaluation:
         self.counters = EvalCounters()
         self.undo: tuple[str, float, float, list] | None = None
         self.prefix: array | None = None
+        self.plan_key: int | None = None
 
 
 def evaluate_full(
@@ -151,6 +160,7 @@ def evaluate_full(
     state.prefix = pre
     state.threshold = threshold
     state.undo = None
+    state.plan_key = plan.key
     state.counters.rules_fired += fired
     return state
 
@@ -161,18 +171,6 @@ def _fold(contrib: list[float | None], lo: int, hi: int, acc: float = 0.0) -> fl
         if c is not None:
             acc = combine_parallel(acc, c)
     return acc
-
-
-def _slots_disagree(state: ObjectEvaluation, n_rules: int) -> InconsistentState:
-    return InconsistentState(
-        f"state of object {state.object_id!r} holds {len(state.contributions)} rule slots, "
-        f"the base has {n_rules} rules"
-    )
-
-
-def _foreign(state: ObjectEvaluation, missing: Exception) -> InconsistentState:
-    prop = missing.args[0]
-    return InconsistentState(f"state of object {state.object_id!r} holds no CF for {prop!r}")
 
 
 def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weight: float) -> int:
@@ -193,47 +191,44 @@ def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weig
     """
     # the cached plan without a method call; closure_plan builds a missing one
     plan = rb._closure_plans.get(rule_id) or rb.closure_plan(rule_id)
+    if state.plan_key != rb._plan.key:  # built with the closure plan
+        raise InconsistentState(f"state of object {state.object_id!r} was not evaluated under this base")
     contrib = state.contributions
-    if len(contrib) != len(rb.rules):
-        raise _slots_disagree(state, len(rb.rules))
     prop_cf = state.prop_cf
-    try:
-        _, leaf, cons, _, slot, lo, hi, start = plan[0]
-        a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
-        saved = contrib[slot]
-        if (a > state.threshold) != (saved is not None):
-            raise InconsistentState(f"rule {rule_id!r} firing status disagrees with stored contributions")
-        if saved is None:
-            return 0  # weight is irrelevant while the rule does not fire
-        pre = state.prefix
-        if pre and state.undo is not None:
-            del pre[:]  # the pending log's writes are still in the state
-        old = prop_cf[cons]
-        log = [(slot, saved, cons, old)]
-        state.undo = (rule_id, a, saved, log)
-        contrib[slot] = new_weight * a
-        new = _fold(contrib, start, hi, pre[start]) if pre else _fold(contrib, lo, hi)
-        prop_cf[cons] = new
-        fired = 1
-        if len(plan) > 1 and new != old:
-            changed = {cons}
-            threshold = state.threshold
-            for r, leaf, cons, refs, s, lo, hi, start in plan[1:]:
-                if changed.isdisjoint(refs):
-                    continue
-                a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
-                fired += 1
-                old = prop_cf[cons]
-                log.append((s, contrib[s], cons, old))
-                contrib[s] = r.weight * a if a > threshold else None
-                new = _fold(contrib, start, hi, pre[start]) if pre else _fold(contrib, lo, hi)
-                prop_cf[cons] = new
-                if new != old:
-                    changed.add(cons)
-        state.counters.rules_fired += fired
-        return fired
-    except (KeyError, UnboundProposition) as e:  # the base reads a proposition the state lacks
-        raise _foreign(state, e) from None
+    _, leaf, cons, _, slot, lo, hi, start = plan[0]
+    a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
+    saved = contrib[slot]
+    if (a > state.threshold) != (saved is not None):
+        raise InconsistentState(f"rule {rule_id!r} firing status disagrees with stored contributions")
+    if saved is None:
+        return 0  # weight is irrelevant while the rule does not fire
+    pre = state.prefix
+    if pre and state.undo is not None:
+        del pre[:]  # the pending log's writes are still in the state
+    old = prop_cf[cons]
+    log = [(slot, saved, cons, old)]
+    state.undo = (rule_id, a, saved, log)
+    contrib[slot] = new_weight * a
+    new = _fold(contrib, start, hi, pre[start]) if pre else _fold(contrib, lo, hi)
+    prop_cf[cons] = new
+    fired = 1
+    if len(plan) > 1 and new != old:
+        changed = {cons}
+        threshold = state.threshold
+        for r, leaf, cons, refs, s, lo, hi, start in plan[1:]:
+            if changed.isdisjoint(refs):
+                continue
+            a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
+            fired += 1
+            old = prop_cf[cons]
+            log.append((s, contrib[s], cons, old))
+            contrib[s] = r.weight * a if a > threshold else None
+            new = _fold(contrib, start, hi, pre[start]) if pre else _fold(contrib, lo, hi)
+            prop_cf[cons] = new
+            if new != old:
+                changed.add(cons)
+    state.counters.rules_fired += fired
+    return fired
 
 
 def probe_consequent(
@@ -249,37 +244,36 @@ def probe_consequent(
     rule_id, new_weight) would give the consequent: the accumulator before
     the rule's slot (its prefix while valid, else the fold of [lo, slot)),
     combined with new_weight x the antecedent CF, then the firing slots of
-    (slot, hi).  It checks every state's slot count and each firing
-    state's status, and fires and combines, as that perturb would (whose
-    replayed restore does neither), so work counters read the same by
-    either route; it writes only the firing counter."""
+    (slot, hi).  It checks every state's plan key (see ObjectEvaluation)
+    and each firing state's status, and fires and combines, as that perturb
+    would (whose replayed restore does neither), so work counters read the
+    same by either route; it writes only the firing counters, after every
+    state passed its checks."""
     plan = rb.closure_plan(rule_id)
     if len(plan) != 1:
         raise ValueError(f"rule {rule_id!r} has dependents; perturb_weight probes it")
     _, leaf, cons, _, slot, lo, hi, _ = plan[0]
-    n_rules = len(rb.rules)
+    key = rb.firing_plan().key
     positions, cfs = [], []
-    try:
-        for i, state in enumerate(states):
-            contrib = state.contributions
-            if len(contrib) != n_rules:
-                raise _slots_disagree(state, n_rules)
-            if contrib[slot] is None:
-                continue
-            prop_cf = state.prop_cf
-            a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
-            if not a > state.threshold:
-                raise InconsistentState(f"rule {rule_id!r} firing status disagrees with stored contributions")
-            pre = state.prefix
-            if pre and state.undo is None:
-                acc = pre[slot]
-            else:
-                acc = _fold(contrib, lo, slot)
-            positions.append(i)
-            cfs.append(_fold(contrib, slot + 1, hi, combine_parallel(acc, new_weight * a)))
-            state.counters.rules_fired += 1
-    except (KeyError, UnboundProposition) as e:
-        raise _foreign(state, e) from None
+    for i, state in enumerate(states):
+        if state.plan_key != key:
+            raise InconsistentState(f"state of object {state.object_id!r} was not evaluated under this base")
+        contrib = state.contributions
+        if contrib[slot] is None:
+            continue
+        prop_cf = state.prop_cf
+        a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
+        if not a > state.threshold:
+            raise InconsistentState(f"rule {rule_id!r} firing status disagrees with stored contributions")
+        pre = state.prefix
+        if pre and state.undo is None:
+            acc = pre[slot]
+        else:
+            acc = _fold(contrib, lo, slot)
+        positions.append(i)
+        cfs.append(_fold(contrib, slot + 1, hi, combine_parallel(acc, new_weight * a)))
+    for i in positions:  # a refused call writes nothing
+        states[i].counters.rules_fired += 1
     return cons, positions, cfs
 
 
@@ -293,7 +287,9 @@ def restore_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, old_weig
     returned, so the state is the pre-probe one by construction.  The log
     assumes the base was not changed between the perturb and the restore.
     Otherwise (no pending log, another rule's log, or another contribution)
-    the closure re-fires exactly as perturb_weight(old_weight) would.
+    the closure re-fires exactly as perturb_weight(old_weight) would.  A
+    replayed log needs no plan-key check: only a perturb that passed one
+    writes a log, and any full pass clears it.
     Either way the state ends bit-identical to a fresh full pass at
     ``old_weight``, and a probe pair costs one closure re-fire, not two: on
     a flat base, one refold of [start, hi) plus O(1) bookkeeping.

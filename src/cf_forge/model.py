@@ -19,7 +19,8 @@ import json
 import os
 import stat
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import count
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -39,6 +40,8 @@ BOUND_KINDS = (HARD, SOFT)
 # frames per level; this keeps them far below the default recursion limit
 # of 1000 while exceeding any hand-written antecedent.
 MAX_EXPR_DEPTH = 64
+
+_plan_keys = count()  # FiringPlan.key
 
 
 @dataclass(frozen=True)
@@ -84,13 +87,17 @@ class FiringPlan:
     rule's own slot until ``RuleBase.closure_plan`` lowers it.  A leaf is
     the proposition id when the antecedent is a bare Ref to a declared
     proposition, else the antecedent Expr.  Rules are held by reference,
-    so weights stay live.
+    so weights stay live.  ``key`` is drawn from a process-wide counter
+    when the plan is built, so no two plans share one; a full pass stamps
+    it on its state, and a probe refuses a state stamped with another
+    (see engine.ObjectEvaluation).
     """
 
     initial: dict[str, float]
     inputs: tuple[str, ...]
     steps: tuple[tuple[str, tuple[tuple[Rule, str | Expr], ...]], ...]
     refires: dict[str, tuple[Rule, str | Expr, str, frozenset[str], int, int, int, int]]
+    key: int = field(init=False, default_factory=_plan_keys.__next__)
 
 
 @dataclass(frozen=True)

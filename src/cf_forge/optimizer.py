@@ -41,6 +41,11 @@ from .model import HARD, SOFT, Rule, RuleBase, TrainingObject, _take
 BB_STEP_MIN = 1e-6
 BB_STEP_MAX = 1e3
 
+# types accepted for each annotation of OptimizerConfig and the trace's
+# records; a bool only where the annotation says bool
+_FIELD_TYPES = {"int": int, "float": (int, float), "float | None": (int, float, type(None)),
+                "bool": bool, "PenaltyConfig": PenaltyConfig}
+
 
 @dataclass
 class OptimizerConfig:
@@ -64,8 +69,12 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+            v = getattr(self, f.name)
+            types = _FIELD_TYPES.get(f.type)
+            if types is not None and (not isinstance(v, types) or (type(v) is bool) != (types is bool)):
+                raise ValueError(f"{f.name} must be {f.type}, got {v!r}")
+            if f.type == "float" and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
         if not (0.0 < self.fd_eps <= 1.0):  # a larger step probes outside [-1, 1]
             raise ValueError("fd_eps must be in (0, 1]")
         if self.fd_scheme not in ("forward", "central"):
@@ -87,6 +96,8 @@ class OptimizerConfig:
         if self.tol_objective_window < 1:
             raise ValueError("tol_objective_window must be >= 1")
         if self.train_only is not None:
+            if isinstance(self.train_only, str):  # tuple() would split it into characters
+                raise ValueError(f"train_only must list rule ids, got the str {self.train_only!r}")
             self.train_only = tuple(self.train_only)
             if not self.train_only:
                 raise ValueError("train_only lists no rule (None trains every rule)")
@@ -170,16 +181,12 @@ class TrainingTrace:
         )
 
 
-# JSON types accepted for each annotation used by the trace's records
-_JSON_TYPES = {"int": int, "float": (int, float), "float | None": (int, float, type(None))}
-
-
 def _record(cls, doc, where: str):
     """A record dataclass built from a JSON object whose every field is
     present with a type matching the field's annotation."""
     if not isinstance(doc, dict):
         raise ParseError("must be a JSON object", where)
-    return cls(**{f.name: _take(doc, f.name, where, _JSON_TYPES[f.type]) for f in fields(cls)})
+    return cls(**{f.name: _take(doc, f.name, where, _FIELD_TYPES[f.type]) for f in fields(cls)})
 
 
 def _projection_interval(rule: Rule) -> tuple[float, float]:

@@ -340,11 +340,68 @@ class TestPerturb:
         for compound in (False, True):
             state = evaluate_full(base("f", compound), obj)
             rb = base("g", compound)
-            with pytest.raises(InconsistentState, match="no CF for 'g'"):
+            with pytest.raises(InconsistentState, match="not evaluated under this base"):
                 if entry == "probe_consequent":
                     engine.probe_consequent([state], rb, "r1", 0.5)
                 else:
                     getattr(engine, entry)(state, rb, "r1", 0.5)
+
+    @staticmethod
+    def bases_a_and_b():
+        # A = {r1: f -> c, r2: g -> c}, B = {r1: f -> c, r2: g -> d}: the
+        # same propositions, rule ids and slot count, and r2 fires in both
+        def base(cons):
+            props = [Proposition("f", INPUT), Proposition("g", INPUT)]
+            props += [Proposition(p, DERIVED, output_class=True) for p in ("c", "d")]
+            rules = [Rule(id="r1", antecedent=Ref("f"), consequent="c", weight=0.5),
+                     Rule(id="r2", antecedent=Ref("g"), consequent=cons, weight=0.5)]
+            return RuleBase(props, rules)
+
+        obj = TrainingObject(id="o", facts={"f": 0.6, "g": 0.4}, label="c")
+        return base("c"), base("d"), obj
+
+    @pytest.mark.parametrize("entry", ["perturb_weight", "restore_weight", "probe_consequent"])
+    def test_a_state_of_a_base_that_reads_the_same_propositions_is_refused(self, entry):
+        # restore_weight has no pending log here, so it re-fires as a perturb
+        a, b, obj = self.bases_a_and_b()
+        state = evaluate_full(a, obj)
+        cfs, contributions = dict(state.prop_cf), list(state.contributions)
+        with pytest.raises(InconsistentState, match="not evaluated under this base"):
+            if entry == "probe_consequent":
+                engine.probe_consequent([state], b, "r2", 0.1)
+            else:
+                getattr(engine, entry)(state, b, "r2", 0.1)
+        assert state.prop_cf == cfs and state.contributions == contributions
+
+    def test_a_refused_probe_counts_no_firing(self):
+        # each refused state comes after one that passes every check
+        a, b, obj = self.bases_a_and_b()
+        good, tampered = evaluate_full(b, obj), evaluate_full(b, obj)
+        tampered.prop_cf["g"] = -0.4  # r2 is silent, with a contribution stored
+        for bad in (evaluate_full(a, obj), tampered):
+            with pytest.raises(InconsistentState):
+                engine.probe_consequent([good, bad], b, "r2", 0.1)
+        assert good.counters.rules_fired == 2  # its full pass's firings alone
+
+    def test_a_deep_copy_of_a_state_is_accepted_under_its_base(self):
+        a, _, obj = self.bases_a_and_b()
+        state = evaluate_full(a, obj)
+        twin = copy.deepcopy(state)
+        assert engine.probe_consequent([twin], a, "r2", 0.1) == engine.probe_consequent([state], a, "r2", 0.1)
+        assert perturb_weight(twin, a, "r2", 0.1) == perturb_weight(state, a, "r2", 0.1) == 1
+        assert twin.prop_cf == state.prop_cf == full_oracle(a, obj, "r2", 0.1).prop_cf
+
+    def test_a_state_is_refused_under_a_copy_of_its_base(self):
+        a, _, obj = self.bases_a_and_b()
+        state = evaluate_full(a, obj)
+        dup = a.copy()
+        assert dup == a
+        with pytest.raises(InconsistentState):
+            perturb_weight(state, dup, "r2", 0.1)
+        with pytest.raises(InconsistentState):
+            engine.probe_consequent([state], dup, "r2", 0.1)
+        evaluate_full(dup, obj, into=state)  # a full pass under the copy binds the state to it
+        assert perturb_weight(state, dup, "r2", 0.1) == 1
 
     def test_probes_find_the_states_a_rule_fires_in(self):
         rb = single_rule_base()

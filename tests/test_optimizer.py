@@ -96,6 +96,18 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "name, value",
+        [("max_iters", 1.5), ("multi_start", 2.0), ("max_backtracks", 1.5), ("max_iters", True),
+         ("seed", 0.0), ("fd_eps", True), ("use_tms", "no"), ("use_tms", 1), ("penalty", None),
+         ("penalty", 10.0), ("train_only", "r0")],
+    )
+    def test_mistyped_rejected(self, name, value):
+        # unchecked, a float count fails later in range() and a bare str
+        # trains its characters as rule ids
+        with pytest.raises(ValueError, match=name):
+            OptimizerConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
         [("fd_eps", 1.0), ("armijo_c", 0.0), ("armijo_c", 0.999), ("fd_scheme", "central"),
          ("shrink", 0.999), ("max_backtracks", 0), ("max_iters", 1), ("holdout_fraction", 0.0),
          ("holdout_fraction", 0.999), ("multi_start", 1), ("tol_objective_window", 1),
