@@ -4,6 +4,7 @@ a trainer makes one weight at a time.  Each mechanism is stated once:
 - when a rule fires and how a consequent folds: ``evaluate_full``;
 - the plan key a probe checks, the fold invariant, the undo log's entries,
   and the prefix accumulators with their validity rule: ``ObjectEvaluation``;
+- the walk past silent input-layer rules and its key: ``ObjectEvaluation``;
 - the incremental re-fire and why it is bit-exact: ``perturb_weight``;
 - the undo log's replay: ``restore_weight``;
 - the read-only probe: ``probe_consequent``;
@@ -24,7 +25,9 @@ from typing import Sequence
 
 from .algebra import combine_parallel, eval_expr
 from .errors import InconsistentState, NoOutputClasses
-from .model import RuleBase, TrainingObject
+from .model import FiringPlan, RuleBase, TrainingObject
+
+_ZEROS = array("d", [0.0])  # times the slot count: a pass's prefix array
 
 
 @dataclass
@@ -87,9 +90,26 @@ class ObjectEvaluation:
     valid only while non-empty and no undo log is pending; a perturb that
     writes while one is (a kept perturb, or a restore that re-fired)
     empties them until the next full pass.
+
+    walk is None (the default) or a tuple, which a caller sets to () to ask
+    for a walk: the full pass that finds no walk of its own builds one from
+    its CFs and contributions, as (plan key, threshold, object, steps).
+    The steps are the plan's (see model.FiringPlan) without the silent
+    input-layer rules, and a step whose rules are all input-layer is
+    folded: (id, [(slot, rule, antecedent CF), ...], True), over the rules
+    that fire, which a pass folds with no read and no threshold test.  A
+    pass walks the steps only when the key, the threshold and the object
+    itself match its own; on any mismatch it walks the plan and builds
+    anew.  Mutating ``obj.facts`` in place while a state keeps a walk of
+    ``obj`` is unsupported: the walk keeps the old facts' firings.  A
+    walked pass records prefixes at walked slots only, which are the only
+    ones a probe reads: probe_consequent reads ``prefix[slot]`` only where
+    the rule fires, and a perturb's start is its own slot, read only where
+    it fires, or the slot of a rule that reads a derived proposition.
     """
 
-    __slots__ = ("object_id", "prop_cf", "contributions", "threshold", "counters", "undo", "prefix", "plan_key")
+    __slots__ = ("object_id", "prop_cf", "contributions", "threshold", "counters", "undo", "prefix",
+                 "plan_key", "walk")
 
     def __init__(self, object_id: str):
         self.object_id = object_id
@@ -100,6 +120,7 @@ class ObjectEvaluation:
         self.undo: tuple[str, float, float, list] | None = None
         self.prefix: array | None = None
         self.plan_key: int | None = None
+        self.walk: tuple | None = None
 
 
 def evaluate_full(
@@ -120,8 +141,9 @@ def evaluate_full(
     base a rule concluding an input overrides its fact, and an undeclared
     consequent reads as 0 while no rule fires into it.  Pass ``into`` to
     reuse a state object: its CFs, contributions and threshold are
-    replaced, its prefix accumulators (if it keeps them) are refilled, and
-    its counters keep accumulating.
+    replaced, its prefix accumulators (if it keeps them) are refilled, its
+    walk (if it asked for one) is walked or built, and its counters keep
+    accumulating.
     """
     if into is None:
         state = ObjectEvaluation(obj.id)
@@ -132,29 +154,43 @@ def evaluate_full(
             )
         state = into
     plan = rb.firing_plan()
+    threshold = policy.threshold
+    walk = state.walk
+    if walk and walk[0] == plan.key and walk[1] == threshold and walk[2] is obj:
+        steps = walk[3]
+    else:
+        steps = plan.steps
     env = plan.initial.copy()
     facts = obj.facts
     for p in plan.inputs:
         env[p] = facts.get(p, 0.0)
-    contribs: list[float | None] = []
-    pre = None if state.prefix is None else array("d")
-    record = None if pre is None else pre.append
-    threshold = policy.threshold
+    n = len(plan.refires)
+    contribs: list[float | None] = [None] * n
+    pre = None if state.prefix is None else _ZEROS * n
     fired = 0
-    for prop_id, entries in plan.steps:
+    for prop_id, entries, folded in steps:
         acc = 0.0
-        for rule, leaf in entries:
-            if record is not None:  # the accumulator before this slot
-                record(acc)
-            a = env[leaf] if type(leaf) is str else eval_expr(leaf, env)
-            if a > threshold:
+        if folded:
+            for slot, rule, a in entries:
+                if pre is not None:  # the accumulator before this slot
+                    pre[slot] = acc
                 c = rule.weight * a
-                contribs.append(c)
+                contribs[slot] = c
                 acc = combine_parallel(acc, c)
-                fired += 1
-            else:
-                contribs.append(None)
+            fired += len(entries)
+        else:
+            for slot, rule, leaf in entries:
+                if pre is not None:
+                    pre[slot] = acc
+                a = env[leaf] if type(leaf) is str else eval_expr(leaf, env)
+                if a > threshold:
+                    c = rule.weight * a
+                    contribs[slot] = c
+                    acc = combine_parallel(acc, c)
+                    fired += 1
         env[prop_id] = acc
+    if walk is not None and steps is plan.steps:
+        state.walk = (plan.key, threshold, obj, _walk(plan, env, contribs))
     state.prop_cf = env
     state.contributions = contribs
     state.prefix = pre
@@ -163,6 +199,22 @@ def evaluate_full(
     state.plan_key = plan.key
     state.counters.rules_fired += fired
     return state
+
+
+def _walk(plan: FiringPlan, env: dict[str, float], contribs: list[float | None]) -> list:
+    """The steps of a walk (see ObjectEvaluation), from the CFs and
+    contributions of a full pass over the plan's steps."""
+    input_layer = plan.input_layer
+    steps = []
+    for step in plan.steps:
+        prop_id, entries, _ = step
+        if all(slot in input_layer for slot, _, _ in entries):
+            steps.append((prop_id, [(slot, rule, env[leaf] if type(leaf) is str else eval_expr(leaf, env))
+                                    for slot, rule, leaf in entries if contribs[slot] is not None], True))
+        else:
+            kept = [e for e in entries if contribs[e[0]] is not None or e[0] not in input_layer]
+            steps.append(step if len(kept) == len(entries) else (prop_id, kept, False))
+    return steps
 
 
 def _fold(contrib: list[float | None], lo: int, hi: int, acc: float = 0.0) -> float:

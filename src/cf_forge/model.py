@@ -76,12 +76,18 @@ class FiringPlan:
 
     initial maps every proposition to CF 0, in declaration order; a pass
     copies it and sets ``inputs`` from the object's facts.  ``steps`` lists
-    each produced proposition with the (rule, leaf) entries of its incoming
-    rules, in incoming order.  Propositions are ordered by the topological
-    position of their last producer, so every proposition is final before
-    any rule reads it.  A rule's slot is its position when the steps'
-    entries are laid end to end, so each produced proposition owns the
-    contiguous slot range [lo, hi) of its incoming rules.  ``refires`` maps
+    each produced proposition as (id, entries, False), with the (slot, rule,
+    leaf) entries of its incoming rules in incoming order; False says the
+    entries' antecedents are read, as in every step but a walk's folded
+    ones (see engine.ObjectEvaluation).  Propositions are ordered by the
+    topological position of their last producer, so every proposition is
+    final before any rule reads it.  A rule's slot is its position when the
+    steps' entries are laid end to end, so each produced proposition owns
+    the contiguous slot range [lo, hi) of its incoming rules.
+    ``input_layer`` holds the slots of the input-layer rules, whose
+    antecedent reads only inputs that no rule concludes: whether one fires
+    depends on the object's facts and the threshold, never on a weight.
+    ``refires`` maps
     each rule id to the entry a probe re-fires it from: (rule, leaf,
     consequent, antecedent refs, slot, lo, hi, start), start being the
     rule's own slot until ``RuleBase.closure_plan`` lowers it.  A leaf is
@@ -95,7 +101,8 @@ class FiringPlan:
 
     initial: dict[str, float]
     inputs: tuple[str, ...]
-    steps: tuple[tuple[str, tuple[tuple[Rule, str | Expr], ...]], ...]
+    steps: tuple[tuple[str, tuple[tuple[int, Rule, str | Expr], ...], bool], ...]
+    input_layer: frozenset[int]
     refires: dict[str, tuple[Rule, str | Expr, str, frozenset[str], int, int, int, int]]
     key: int = field(init=False, default_factory=_plan_keys.__next__)
 
@@ -208,7 +215,10 @@ class RuleBase:
         props = self.propositions
         incoming = self._incoming
         by_id = self.rules_by_id
+        inputs = tuple(p.id for p in props.values() if p.kind == INPUT)
+        free = set(inputs).difference(incoming)  # inputs no rule concludes
         steps = []
+        input_layer = set()
         refires = {}
         lo = 0
         for p in sorted(incoming, key=lambda p: self._pos[incoming[p][-1]]):
@@ -218,14 +228,17 @@ class RuleBase:
                 r = by_id[rid]
                 e = r.antecedent
                 leaf = e.prop if type(e) is Ref and e.prop in props else e
-                entries.append((r, leaf))
+                entries.append((slot, r, leaf))
+                if self._refs[rid] <= free:
+                    input_layer.add(slot)
                 refires[rid] = (r, leaf, p, self._refs[rid], slot, lo, hi, slot)
-            steps.append((p, tuple(entries)))
+            steps.append((p, tuple(entries), False))
             lo = hi
         self._plan = FiringPlan(
             initial=dict.fromkeys(props, 0.0),
-            inputs=tuple(p.id for p in props.values() if p.kind == INPUT),
+            inputs=inputs,
             steps=tuple(steps),
+            input_layer=frozenset(input_layer),
             refires=refires,
         )
         return self._plan

@@ -430,8 +430,15 @@ class _Session:
         [-1, +1] are not valid certainty factors and the objective is
         undefined there.  Convergence (``tol_grad``) is tested on
         projected_inf_norm, so an optimum on a bound is a stationary point,
-        not a search failure."""
+        not a search failure.  When more than one iteration may run, every
+        state asks for a walk (see engine.ObjectEvaluation) before the
+        initial score; a one-iteration run's few passes would not repay a
+        walk's memory.  The training states' prefixes are dropped once the
+        last gradient that reads them is taken."""
         cfg = self.cfg
+        if cfg.max_iters > 1:
+            for st in (*self.train.states, *self.holdout.states):
+                st.walk = ()
         f_cur, m_cur, p_cur = self.score(self.train)
         initial = {"objective": f_cur, "metric": m_cur, "penalty": p_cur}
         if self.holdout.objects:

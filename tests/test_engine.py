@@ -60,12 +60,15 @@ def chain3_base():
     return RuleBase(props, rules)
 
 
-def evaluate(rb, obj, policy=engine.DEFAULT_POLICY, prefix=False):
+def evaluate(rb, obj, policy=engine.DEFAULT_POLICY, prefix=False, walk=False):
     """A full pass into a fresh state; with ``prefix`` the state keeps
-    prefix accumulators, as a training session's states do."""
+    prefix accumulators, and with ``walk`` a walk, as a descending
+    session's training states do."""
     state = engine.ObjectEvaluation(obj.id)
     if prefix:
         state.prefix = array("d")
+    if walk:
+        state.walk = ()
     return evaluate_full(rb, obj, policy, into=state)
 
 
@@ -916,7 +919,9 @@ class TestFiringPlan:
             assert order == tuple(rid for rid in topo if rid in closure)
             plan = rb.closure_plan(r.id)
             assert tuple(rule.id for rule, *_ in plan) == order
-            slots = [rule.id for _, entries in rb.firing_plan().steps for rule, _ in entries]
+            steps = rb.firing_plan().steps
+            slots = [rule.id for _, entries, _ in steps for _, rule, _ in entries]
+            assert [s for _, entries, _ in steps for s, _, _ in entries] == list(range(len(slots)))
             for rule, _, consequent, refs, slot, lo, hi, start in plan:
                 assert consequent == rule.consequent
                 assert refs == referenced_props(rule.antecedent)
@@ -1019,6 +1024,141 @@ class TestCounters:
             _, positions, cfs = engine.probe_consequent([state], rb, "r2", 0.7)
         assert positions == [0] and calls[0] == 1  # read from r2's prefix
         assert cfs[0].hex() == full_oracle(rb, obj, "r2", 0.7).prop_cf["c"].hex()
+
+
+def exact(state):
+    """What a pass or a probe writes to a state, with every float as its
+    hex form: CFs, contributions by slot, the undo log and the threshold."""
+    def h(x):
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, (list, tuple)):
+            return [h(v) for v in x]
+        return x
+
+    return h(list(state.prop_cf.items())), h(state.contributions), h(state.undo), h(state.threshold)
+
+
+def exact_probe(probed):
+    """probe_consequent's result, with every CF as its hex form."""
+    cons, positions, cfs = probed
+    return cons, positions, [cf.hex() for cf in cfs]
+
+
+class TestWalk:
+    """A state that keeps a walk (see engine.ObjectEvaluation) against
+    fresh states: every full pass and every probe reads and writes the same
+    bits, although a walked pass records no prefix at a dropped slot."""
+
+    def mixed_base(self):
+        # c: every rule input-layer, so its step folds; d: r4 reads c, so
+        # its step is read, without its silent input-layer rule r3
+        props = [Proposition(p, INPUT) for p in ("f", "g", "h")]
+        props += [Proposition("c", DERIVED, output_class=True), Proposition("d", DERIVED, output_class=True)]
+        rules = [
+            Rule(id="r0", antecedent=Ref("f"), consequent="c", weight=0.5),
+            Rule(id="r1", antecedent=Ref("g"), consequent="c", weight=0.4),
+            Rule(id="r2", antecedent=And((Ref("f"), Ref("h"))), consequent="c", weight=-0.3),
+            Rule(id="r3", antecedent=Ref("g"), consequent="d", weight=0.2),
+            Rule(id="r4", antecedent=Ref("c"), consequent="d", weight=0.6),
+            Rule(id="r5", antecedent=Ref("h"), consequent="d", weight=0.7),
+        ]
+        return RuleBase(props, rules)
+
+    def test_a_walk_drops_the_silent_input_layer_rules(self):
+        rb = self.mixed_base()
+        plan = rb.firing_plan()
+        assert plan.input_layer == {0, 1, 2, 3, 5}
+        obj = TrainingObject(id="o", facts={"f": 0.8, "g": -0.5, "h": 0.6}, label="c")
+        state = evaluate(rb, obj, walk=True)
+        key, threshold, walked_obj, steps = state.walk
+        assert (key, threshold, walked_obj) == (plan.key, 0.0, obj)
+        (c, folded, c_is_folded), (d, read, d_is_folded) = steps
+        assert (c, c_is_folded, d, d_is_folded) == ("c", True, "d", False)
+        # r1 is silent; r0 carries the fact's own float, r2 its And's CF
+        assert [(slot, rule.id) for slot, rule, _ in folded] == [(0, "r0"), (2, "r2")]
+        assert folded[0][2] is obj.facts["f"] and folded[1][2] == 0.6
+        assert [rule.id for _, rule, _ in read] == ["r4", "r5"]
+        assert exact(evaluate_full(rb, obj, into=state)) == exact(evaluate(rb, obj))
+
+    def test_a_walked_pass_reads_no_input_layer_antecedent(self):
+        rb = self.mixed_base()
+        obj = TrainingObject(id="o", facts={"f": 0.8, "g": -0.5, "h": 0.6}, label="c")
+        state = evaluate(rb, obj, walk=True)
+        with pytest.MonkeyPatch.context() as mp:
+            evals = count_calls(mp, "eval_expr")
+            evaluate_full(rb, obj, into=state)
+        assert evals[0] == 0  # r2's And, folded from the walk
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        threshold=st.one_of(
+            st.just(0.0), st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True)
+        ),
+        prefix=st.booleans(),
+        moves=st.lists(
+            st.tuples(st.integers(min_value=0), st.floats(min_value=-1.0, max_value=1.0)),
+            min_size=1,
+            max_size=8,
+        ),
+        w=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    def test_a_walked_state_passes_and_probes_as_a_fresh_one(self, seed, threshold, prefix, moves, w):
+        rng = random.Random(seed)
+        rb = random_rulebase(rng, max_rules=40)  # compound antecedents, mixed steps
+        obj = random_object(rng, rb)
+        policy = FiringPolicy(threshold=threshold)
+        state = evaluate(rb, obj, policy, prefix, walk=True)
+        assert state.walk[0] == rb.firing_plan().key
+        for pick, weight in moves:
+            rb.rules[pick % len(rb.rules)].weight = weight
+            before = state.counters.rules_fired
+            evaluate_full(rb, obj, policy, into=state)
+            fresh = evaluate(rb, obj, policy, prefix)
+            assert exact(state) == exact(fresh)
+            assert state.counters.rules_fired - before == fresh.counters.rules_fired
+        # every probe on the walked state returns and writes what it does on
+        # a fresh one, so no probe reads a prefix the walked pass dropped
+        fresh = evaluate(rb, obj, policy, prefix)
+        for rule in rb.rules:
+            counts = [s.counters.rules_fired for s in (state, fresh)]
+            if len(rb.closure_plan(rule.id)) == 1:
+                probed = [engine.probe_consequent([s], rb, rule.id, w) for s in (state, fresh)]
+                assert exact_probe(probed[0]) == exact_probe(probed[1])
+            assert perturb_weight(state, rb, rule.id, w) == perturb_weight(fresh, rb, rule.id, w)
+            assert exact(state) == exact(fresh)
+            restored = [restore_weight(s, rb, rule.id, rule.weight) for s in (state, fresh)]
+            assert restored[0] == restored[1]
+            assert exact(state) == exact(fresh)
+            assert state.counters.rules_fired - counts[0] == fresh.counters.rules_fired - counts[1]
+
+    def test_a_walk_keeps_the_prefixes_probes_read(self):
+        rb = self.mixed_base()
+        obj = TrainingObject(id="o", facts={"f": 0.8, "g": -0.5, "h": 0.6}, label="c")
+        state = evaluate(rb, obj, prefix=True, walk=True)
+        evaluate_full(rb, obj, into=state)
+        fresh = evaluate(rb, obj, prefix=True)
+        walked = [0, 2, 4, 5]  # r1 and r3 are silent input-layer rules
+        assert [state.prefix[s] for s in walked] == [fresh.prefix[s] for s in walked]
+
+    @pytest.mark.parametrize("change", ["copy", "threshold", "object"])
+    def test_a_walk_is_ignored_under_another_key(self, change):
+        rb = self.mixed_base()
+        obj = TrainingObject(id="o", facts={"f": 0.8, "g": 0.2, "h": 0.6}, label="c")
+        state = evaluate(rb, obj, walk=True)
+        policy = engine.DEFAULT_POLICY
+        if change == "copy":  # its own Rule objects, whose weights a stale walk would miss
+            rb = rb.copy()
+            rb.rule("r0").weight = -0.9
+        elif change == "threshold":  # g's rules no longer fire
+            policy = FiringPolicy(threshold=0.3)
+        else:  # the same id, other facts
+            obj = TrainingObject(id="o", facts={"f": -0.8, "g": 0.9, "h": 0.1}, label="c")
+        evaluate_full(rb, obj, policy, into=state)
+        assert exact(state) == exact(evaluate_full(rb, obj, policy))
+        assert state.walk[:3] == (rb.firing_plan().key, policy.threshold, obj)  # built anew
+        assert exact(evaluate_full(rb, obj, policy, into=state)) == exact(evaluate_full(rb, obj, policy))
 
 
 class TestClassify:

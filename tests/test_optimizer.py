@@ -1087,6 +1087,77 @@ class TestPrefixes:
         assert all(st.prefix is None for st in sess.train.states)
 
 
+class TestWalks:
+    """Only a descending session that may run more than one iteration asks
+    its states for walks (see engine.ObjectEvaluation); every other caller
+    leaves them unset."""
+
+    @staticmethod
+    def spied(mp, module):
+        """The states module.evaluate_full returns while ``mp`` is active."""
+        states = []
+        original = module.evaluate_full
+
+        def spy(*args, **kwargs):
+            states.append(original(*args, **kwargs))
+            return states[-1]
+
+        mp.setattr(module, "evaluate_full", spy)
+        return states
+
+    @staticmethod
+    def problem():
+        rb, _, objects, _ = generate(SynthSpec(features=6, classes=3, objects=40, seed=3))
+        return rb, objects
+
+    def test_a_pass_that_is_not_asked_builds_none(self):
+        rb, objects = self.problem()
+        st = evaluate_full(rb, objects[0])
+        evaluate_full(rb, objects[0], into=st)
+        assert st.walk is None
+
+    @pytest.mark.parametrize("run", ["gradient", "train_one_iteration"])
+    def test_a_gradient_or_one_iteration_builds_none(self, run):
+        import cf_forge.optimizer as optimizer
+
+        rb, objects = self.problem()
+        with pytest.MonkeyPatch.context() as mp:
+            states = self.spied(mp, optimizer)
+            if run == "gradient":
+                gradient(rb, objects)
+            else:
+                train(rb, objects, OptimizerConfig(max_iters=1, holdout_fraction=0.2))
+        assert states and all(st.walk is None for st in states)
+
+    def test_eval_builds_none(self, tmp_path):
+        import cf_forge.cli as cli
+        from cf_forge import save_dataset, save_rulebase
+
+        rb, objects = self.problem()
+        save_rulebase(rb, tmp_path / "rules.json")
+        save_dataset(objects, tmp_path / "data.jsonl")
+        with pytest.MonkeyPatch.context() as mp:
+            states = self.spied(mp, cli)
+            assert cli.main(["eval", "--rules", str(tmp_path / "rules.json"),
+                             "--data", str(tmp_path / "data.jsonl")]) == 0
+        assert len(states) == len(objects) and all(st.walk is None for st in states)
+
+    def test_every_state_of_a_descent_walks(self):
+        import cf_forge.optimizer as optimizer
+
+        rb, objects = self.problem()
+        cfg = OptimizerConfig(max_iters=3, holdout_fraction=0.2, step_init=0.01, multi_start=2)
+        with pytest.MonkeyPatch.context() as mp:
+            states = self.spied(mp, optimizer)
+            train(rb, objects, cfg)
+        by_object = {o.id: o for o in objects}
+        # two starts, each with its training and holdout states
+        assert len({id(st) for st in states}) == 2 * len(objects)
+        for st in states:
+            _, threshold, obj, steps = st.walk
+            assert obj is by_object[st.object_id] and threshold == cfg.threshold and steps
+
+
 class TestBench:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="'fast'"):
