@@ -4,7 +4,7 @@ a trainer makes one weight at a time.  Each mechanism is stated once:
 - when a rule fires and how a consequent folds: ``evaluate_full``;
 - the plan key a probe checks, the fold invariant, the undo log's entries,
   and the prefix accumulators with their validity rule: ``ObjectEvaluation``;
-- the walk past silent input-layer rules and its key: ``ObjectEvaluation``;
+- the walk over the leading steps and when it holds: ``ObjectEvaluation``;
 - the incremental re-fire and why it is bit-exact: ``perturb_weight``;
 - the undo log's replay: ``restore_weight``;
 - the read-only probe: ``probe_consequent``;
@@ -93,19 +93,19 @@ class ObjectEvaluation:
 
     walk is None (the default) or a tuple, which a caller sets to () to ask
     for a walk: the full pass that finds no walk of its own builds one from
-    its CFs and contributions, as (plan key, threshold, object, steps).
-    The steps are the plan's (see model.FiringPlan) without the silent
-    input-layer rules, and a step whose rules are all input-layer is
-    folded: (id, [(slot, rule, antecedent CF), ...], True), over the rules
-    that fire, which a pass folds with no read and no threshold test.  A
-    pass walks the steps only when the key, the threshold and the object
-    itself match its own; on any mismatch it walks the plan and builds
-    anew.  Mutating ``obj.facts`` in place while a state keeps a walk of
-    ``obj`` is unsupported: the walk keeps the old facts' firings.  A
-    walked pass records prefixes at walked slots only, which are the only
-    ones a probe reads: probe_consequent reads ``prefix[slot]`` only where
-    the rule fires, and a perturb's start is its own slot, read only where
-    it fires, or the slot of a rule that reads a derived proposition.
+    its CFs and contributions, as (object, folded steps), one per leading
+    step of the plan (see model.FiringPlan): (id, [(slot, rule, antecedent
+    CF), ...]) over the rules that fire, which a pass folds with no read
+    and no threshold test before it reads the read steps.  A pass takes
+    the walk only when its object is the pass's and the state's plan_key
+    and threshold equal the pass's, which is enough, since every pass that
+    sets them keeps or builds the walk; else it reads every step and
+    builds anew.  Mutating ``obj.facts`` in place while a state keeps a
+    walk of ``obj`` is unsupported: the walk keeps the old facts' firings.
+    A walked pass records no prefix at a silent slot of a folded step,
+    which no probe reads: probe_consequent reads ``prefix[slot]`` only
+    where the rule fires, and a perturb's start is its own slot, read only
+    where it fires, or the slot of a rule that reads a derived proposition.
     """
 
     __slots__ = ("object_id", "prop_cf", "contributions", "threshold", "counters", "undo", "prefix",
@@ -142,8 +142,8 @@ def evaluate_full(
     consequent reads as 0 while no rule fires into it.  Pass ``into`` to
     reuse a state object: its CFs, contributions and threshold are
     replaced, its prefix accumulators (if it keeps them) are refilled, its
-    walk (if it asked for one) is walked or built, and its counters keep
-    accumulating.
+    walk (if it asked for one) is folded for the leading steps or built,
+    and its counters keep accumulating.
     """
     if into is None:
         state = ObjectEvaluation(obj.id)
@@ -156,10 +156,10 @@ def evaluate_full(
     plan = rb.firing_plan()
     threshold = policy.threshold
     walk = state.walk
-    if walk and walk[0] == plan.key and walk[1] == threshold and walk[2] is obj:
-        steps = walk[3]
+    if walk and walk[0] is obj and state.plan_key == plan.key and state.threshold == threshold:
+        folded, read = walk[1], plan.steps[plan.read_from:]
     else:
-        steps = plan.steps
+        folded, read = (), plan.steps
     env = plan.initial.copy()
     facts = obj.facts
     for p in plan.inputs:
@@ -168,29 +168,30 @@ def evaluate_full(
     contribs: list[float | None] = [None] * n
     pre = None if state.prefix is None else _ZEROS * n
     fired = 0
-    for prop_id, entries, folded in steps:
+    for prop_id, entries in folded:
         acc = 0.0
-        if folded:
-            for slot, rule, a in entries:
-                if pre is not None:  # the accumulator before this slot
-                    pre[slot] = acc
+        for slot, rule, a in entries:
+            if pre is not None:  # the accumulator before this slot
+                pre[slot] = acc
+            c = rule.weight * a
+            contribs[slot] = c
+            acc = combine_parallel(acc, c)
+        fired += len(entries)
+        env[prop_id] = acc
+    for prop_id, entries in read:
+        acc = 0.0
+        for slot, rule, leaf in entries:
+            if pre is not None:
+                pre[slot] = acc
+            a = env[leaf] if type(leaf) is str else eval_expr(leaf, env)
+            if a > threshold:
                 c = rule.weight * a
                 contribs[slot] = c
                 acc = combine_parallel(acc, c)
-            fired += len(entries)
-        else:
-            for slot, rule, leaf in entries:
-                if pre is not None:
-                    pre[slot] = acc
-                a = env[leaf] if type(leaf) is str else eval_expr(leaf, env)
-                if a > threshold:
-                    c = rule.weight * a
-                    contribs[slot] = c
-                    acc = combine_parallel(acc, c)
-                    fired += 1
+                fired += 1
         env[prop_id] = acc
-    if walk is not None and steps is plan.steps:
-        state.walk = (plan.key, threshold, obj, _walk(plan, env, contribs))
+    if walk is not None and read is plan.steps:
+        state.walk = (obj, _walk(plan, env, contribs))
     state.prop_cf = env
     state.contributions = contribs
     state.prefix = pre
@@ -202,19 +203,11 @@ def evaluate_full(
 
 
 def _walk(plan: FiringPlan, env: dict[str, float], contribs: list[float | None]) -> list:
-    """The steps of a walk (see ObjectEvaluation), from the CFs and
+    """The folded steps of a walk (see ObjectEvaluation), from the CFs and
     contributions of a full pass over the plan's steps."""
-    input_layer = plan.input_layer
-    steps = []
-    for step in plan.steps:
-        prop_id, entries, _ = step
-        if all(slot in input_layer for slot, _, _ in entries):
-            steps.append((prop_id, [(slot, rule, env[leaf] if type(leaf) is str else eval_expr(leaf, env))
-                                    for slot, rule, leaf in entries if contribs[slot] is not None], True))
-        else:
-            kept = [e for e in entries if contribs[e[0]] is not None or e[0] not in input_layer]
-            steps.append(step if len(kept) == len(entries) else (prop_id, kept, False))
-    return steps
+    return [(prop_id, [(slot, rule, env[leaf] if type(leaf) is str else eval_expr(leaf, env))
+                       for slot, rule, leaf in entries if contribs[slot] is not None])
+            for prop_id, entries in plan.steps[:plan.read_from]]
 
 
 def _fold(contrib: list[float | None], lo: int, hi: int, acc: float = 0.0) -> float:

@@ -76,33 +76,31 @@ class FiringPlan:
 
     initial maps every proposition to CF 0, in declaration order; a pass
     copies it and sets ``inputs`` from the object's facts.  ``steps`` lists
-    each produced proposition as (id, entries, False), with the (slot, rule,
-    leaf) entries of its incoming rules in incoming order; False says the
-    entries' antecedents are read, as in every step but a walk's folded
-    ones (see engine.ObjectEvaluation).  Propositions are ordered by the
-    topological position of their last producer, so every proposition is
-    final before any rule reads it.  A rule's slot is its position when the
-    steps' entries are laid end to end, so each produced proposition owns
-    the contiguous slot range [lo, hi) of its incoming rules.
-    ``input_layer`` holds the slots of the input-layer rules, whose
-    antecedent reads only inputs that no rule concludes: whether one fires
+    each produced proposition as (id, entries), with the (slot, rule, leaf)
+    entries of its incoming rules in incoming order.  The leading steps are
+    the propositions that only input-layer rules conclude, whose
+    antecedents read only inputs that no rule concludes: whether one fires
     depends on the object's facts and the threshold, never on a weight.
-    ``refires`` maps
-    each rule id to the entry a probe re-fires it from: (rule, leaf,
-    consequent, antecedent refs, slot, lo, hi, start), start being the
-    rule's own slot until ``RuleBase.closure_plan`` lowers it.  A leaf is
-    the proposition id when the antecedent is a bare Ref to a declared
-    proposition, else the antecedent Expr.  Rules are held by reference,
-    so weights stay live.  ``key`` is drawn from a process-wide counter
-    when the plan is built, so no two plans share one; a full pass stamps
-    it on its state, and a probe refuses a state stamped with another
-    (see engine.ObjectEvaluation).
+    The read steps, from ``steps[read_from]`` on, are the rest.  Each group
+    is ordered by the topological position of its last producer, so every
+    proposition is final before any rule reads it.  A rule's slot is its
+    position when the steps' entries are laid end to end, so each produced
+    proposition owns the contiguous slot range [lo, hi) of its incoming
+    rules.  ``refires`` maps each rule id to the entry a probe re-fires it
+    from: (rule, leaf, consequent, antecedent refs, slot, lo, hi, start),
+    start being the rule's own slot until ``RuleBase.closure_plan`` lowers
+    it.  A leaf is the proposition id when the antecedent is a bare Ref to
+    a declared proposition, else the antecedent Expr.  Rules are held by
+    reference, so weights stay live.  ``key`` is drawn from a process-wide
+    counter when the plan is built, so no two plans share one; a full pass
+    stamps it on its state, and a probe refuses a state stamped with
+    another (see engine.ObjectEvaluation).
     """
 
     initial: dict[str, float]
     inputs: tuple[str, ...]
-    steps: tuple[tuple[str, tuple[tuple[int, Rule, str | Expr], ...], bool], ...]
-    input_layer: frozenset[int]
+    steps: tuple[tuple[str, tuple[tuple[int, Rule, str | Expr], ...]], ...]
+    read_from: int
     refires: dict[str, tuple[Rule, str | Expr, str, frozenset[str], int, int, int, int]]
     key: int = field(init=False, default_factory=_plan_keys.__next__)
 
@@ -217,11 +215,11 @@ class RuleBase:
         by_id = self.rules_by_id
         inputs = tuple(p.id for p in props.values() if p.kind == INPUT)
         free = set(inputs).difference(incoming)  # inputs no rule concludes
+        leading = {p for p, rids in incoming.items() if all(self._refs[rid] <= free for rid in rids)}
         steps = []
-        input_layer = set()
         refires = {}
         lo = 0
-        for p in sorted(incoming, key=lambda p: self._pos[incoming[p][-1]]):
+        for p in sorted(incoming, key=lambda p: (p not in leading, self._pos[incoming[p][-1]])):
             hi = lo + len(incoming[p])
             entries = []
             for slot, rid in enumerate(incoming[p], lo):
@@ -229,16 +227,14 @@ class RuleBase:
                 e = r.antecedent
                 leaf = e.prop if type(e) is Ref and e.prop in props else e
                 entries.append((slot, r, leaf))
-                if self._refs[rid] <= free:
-                    input_layer.add(slot)
                 refires[rid] = (r, leaf, p, self._refs[rid], slot, lo, hi, slot)
-            steps.append((p, tuple(entries), False))
+            steps.append((p, tuple(entries)))
             lo = hi
         self._plan = FiringPlan(
             initial=dict.fromkeys(props, 0.0),
             inputs=inputs,
             steps=tuple(steps),
-            input_layer=frozenset(input_layer),
+            read_from=len(leading),
             refires=refires,
         )
         return self._plan

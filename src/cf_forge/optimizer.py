@@ -22,7 +22,7 @@ from array import array
 from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import metric
 from .engine import (
@@ -95,12 +95,15 @@ class OptimizerConfig:
             raise ValueError("multi_start must be >= 1")
         if self.tol_objective_window < 1:
             raise ValueError("tol_objective_window must be >= 1")
+        FiringPolicy(threshold=self.threshold)  # raises its ValueError
         if self.train_only is not None:
-            if isinstance(self.train_only, str):  # tuple() would split it into characters
-                raise ValueError(f"train_only must list rule ids, got the str {self.train_only!r}")
-            self.train_only = tuple(self.train_only)
-            if not self.train_only:
-                raise ValueError("train_only lists no rule (None trains every rule)")
+            only = self.train_only
+            if isinstance(only, str) or not isinstance(only, Iterable):  # tuple() would split a str
+                raise ValueError(f"train_only must list rule ids, got {only!r}")
+            self.train_only = tuple(only)
+            if not self.train_only or not all(isinstance(rid, str) for rid in self.train_only):
+                raise ValueError(f"train_only must list str rule ids (None trains every rule), "
+                                 f"got {self.train_only!r}")
 
 
 @dataclass

@@ -107,3 +107,6 @@ def test_src_lines_counts_a_revision_and_the_delta(tmp_path, capsys):
     assert rows[-3] == ["total", "6", "3", "1", "1", "1"]
     assert rows[-2] == ["total", "at", "HEAD", "2", "1", "1", "0", "0"]
     assert rows[-1] == ["delta", "4", "2", "0", "1", "1"]
+    # one delta row per module; b.py, new since HEAD, counts as empty there
+    assert rows[-5:-3] == [["delta", "pkg/a.py", "3", "1", "0", "1", "1"],
+                           ["delta", "pkg/b.py", "1", "1", "0", "0", "0"]]

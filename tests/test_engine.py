@@ -920,8 +920,8 @@ class TestFiringPlan:
             plan = rb.closure_plan(r.id)
             assert tuple(rule.id for rule, *_ in plan) == order
             steps = rb.firing_plan().steps
-            slots = [rule.id for _, entries, _ in steps for _, rule, _ in entries]
-            assert [s for _, entries, _ in steps for s, _, _ in entries] == list(range(len(slots)))
+            slots = [rule.id for _, entries in steps for _, rule, _ in entries]
+            assert [s for _, entries in steps for s, _, _ in entries] == list(range(len(slots)))
             for rule, _, consequent, refs, slot, lo, hi, start in plan:
                 assert consequent == rule.consequent
                 assert refs == referenced_props(rule.antecedent)
@@ -930,6 +930,22 @@ class TestFiringPlan:
                 # a probe refolds the consequent from its lowest closure slot
                 assert lo <= start <= slot
                 assert start == min(s for rr, *_, s, _, _, _ in plan if rr.consequent == consequent)
+        # the leading steps are the propositions only input-layer rules
+        # conclude, the read steps the rest, and an entry reads no
+        # proposition a step concludes before that step (a derived one no
+        # rule concludes stays at CF 0)
+        plan = rb.firing_plan()
+        produced = {r.consequent for r in rb.rules}
+        free = {p.id for p in rb.propositions.values() if p.kind == INPUT} - produced
+        leading = {p for p in produced
+                   if all(referenced_props(r.antecedent) <= free for r in rb.rules if r.consequent == p)}
+        ids = [p for p, _ in plan.steps]
+        assert set(ids[:plan.read_from]) == leading and len(ids) == len(produced)
+        assert set(ids[plan.read_from:]) == produced - leading
+        concluded = set()
+        for p, entries in plan.steps:
+            assert all(referenced_props(rule.antecedent) & produced <= concluded for _, rule, _ in entries)
+            concluded.add(p)
 
 
 class TestCounters:
@@ -1050,36 +1066,40 @@ class TestWalk:
     fresh states: every full pass and every probe reads and writes the same
     bits, although a walked pass records no prefix at a dropped slot."""
 
-    def mixed_base(self):
-        # c: every rule input-layer, so its step folds; d: r4 reads c, so
-        # its step is read, without its silent input-layer rule r3
+    def mixed_base(self, r3=Ref("g")):
+        # c: every rule input-layer, so its step leads and is folded; d: r4
+        # reads c, so its step is read whole, with its input-layer r3 and r5
         props = [Proposition(p, INPUT) for p in ("f", "g", "h")]
         props += [Proposition("c", DERIVED, output_class=True), Proposition("d", DERIVED, output_class=True)]
         rules = [
             Rule(id="r0", antecedent=Ref("f"), consequent="c", weight=0.5),
             Rule(id="r1", antecedent=Ref("g"), consequent="c", weight=0.4),
             Rule(id="r2", antecedent=And((Ref("f"), Ref("h"))), consequent="c", weight=-0.3),
-            Rule(id="r3", antecedent=Ref("g"), consequent="d", weight=0.2),
+            Rule(id="r3", antecedent=r3, consequent="d", weight=0.2),
             Rule(id="r4", antecedent=Ref("c"), consequent="d", weight=0.6),
             Rule(id="r5", antecedent=Ref("h"), consequent="d", weight=0.7),
         ]
         return RuleBase(props, rules)
 
     def test_a_walk_drops_the_silent_input_layer_rules(self):
-        rb = self.mixed_base()
+        rb = self.mixed_base(r3=And((Ref("g"), Ref("h"))))  # silent, and read by eval_expr
         plan = rb.firing_plan()
-        assert plan.input_layer == {0, 1, 2, 3, 5}
+        assert [p for p, _ in plan.steps] == ["c", "d"] and plan.read_from == 1
         obj = TrainingObject(id="o", facts={"f": 0.8, "g": -0.5, "h": 0.6}, label="c")
         state = evaluate(rb, obj, walk=True)
-        key, threshold, walked_obj, steps = state.walk
-        assert (key, threshold, walked_obj) == (plan.key, 0.0, obj)
-        (c, folded, c_is_folded), (d, read, d_is_folded) = steps
-        assert (c, c_is_folded, d, d_is_folded) == ("c", True, "d", False)
-        # r1 is silent; r0 carries the fact's own float, r2 its And's CF
-        assert [(slot, rule.id) for slot, rule, _ in folded] == [(0, "r0"), (2, "r2")]
+        walked_obj, steps = state.walk
+        assert walked_obj is obj and (state.plan_key, state.threshold) == (plan.key, 0.0)
+        # the leading step folds only its firing rules: r1 is silent; r0
+        # carries the fact's own float, r2 its And's CF
+        ((c, folded),) = steps
+        assert c == "c" and [(slot, rule.id) for slot, rule, _ in folded] == [(0, "r0"), (2, "r2")]
         assert folded[0][2] is obj.facts["f"] and folded[1][2] == 0.6
-        assert [rule.id for _, rule, _ in read] == ["r4", "r5"]
-        assert exact(evaluate_full(rb, obj, into=state)) == exact(evaluate(rb, obj))
+        # the mixed step d is read whole, its silent input-layer r3 included
+        with pytest.MonkeyPatch.context() as mp:
+            evals = count_calls(mp, "eval_expr")
+            evaluate_full(rb, obj, into=state)
+        assert evals[0] == 1  # r3's And; r2's is folded from the walk
+        assert exact(state) == exact(evaluate(rb, obj))
 
     def test_a_walked_pass_reads_no_input_layer_antecedent(self):
         rb = self.mixed_base()
@@ -1110,7 +1130,7 @@ class TestWalk:
         obj = random_object(rng, rb)
         policy = FiringPolicy(threshold=threshold)
         state = evaluate(rb, obj, policy, prefix, walk=True)
-        assert state.walk[0] == rb.firing_plan().key
+        assert state.walk[0] is obj and state.plan_key == rb.firing_plan().key
         for pick, weight in moves:
             rb.rules[pick % len(rb.rules)].weight = weight
             before = state.counters.rules_fired
@@ -1139,7 +1159,7 @@ class TestWalk:
         state = evaluate(rb, obj, prefix=True, walk=True)
         evaluate_full(rb, obj, into=state)
         fresh = evaluate(rb, obj, prefix=True)
-        walked = [0, 2, 4, 5]  # r1 and r3 are silent input-layer rules
+        walked = [0, 2, 3, 4, 5]  # r1 is a silent rule of the folded step
         assert [state.prefix[s] for s in walked] == [fresh.prefix[s] for s in walked]
 
     @pytest.mark.parametrize("change", ["copy", "threshold", "object"])
@@ -1157,7 +1177,7 @@ class TestWalk:
             obj = TrainingObject(id="o", facts={"f": -0.8, "g": 0.9, "h": 0.1}, label="c")
         evaluate_full(rb, obj, policy, into=state)
         assert exact(state) == exact(evaluate_full(rb, obj, policy))
-        assert state.walk[:3] == (rb.firing_plan().key, policy.threshold, obj)  # built anew
+        assert state.walk == evaluate(rb, obj, policy, walk=True).walk  # built anew
         assert exact(evaluate_full(rb, obj, policy, into=state)) == exact(evaluate_full(rb, obj, policy))
 
 

@@ -7,8 +7,12 @@ two starts, a 0.2 holdout), and of the same train with central
 differences, so a change to the probe or full-pass machinery that moves a
 single bit fails here.  The ``bench`` digests pin the standard output of
 one gradient on each one-object shaped base (flat, tree, chain), in both
-modes where the ladder stays small.  A change that is meant to alter
-results updates the digests and says why.
+modes where the ladder stays small.  The variant digests pin the same
+train with naive probes, with a firing threshold, with one iteration (no
+state keeps a walk), and a train on a tree-shaped base, whose firing plan
+orders its propositions otherwise than by topological position alone;
+the ``eval`` digest pins the standard output of ``--per-object``.  A
+change that is meant to alter results updates the digests and says why.
 """
 
 import hashlib
@@ -53,3 +57,55 @@ def test_fixed_seed_bench_prints_the_pinned_bytes(shape, ladder, mode, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == BENCH_GOLDEN[(shape, ladder, mode)]
+
+
+TREE_GEN = ["gen", "--shape", "tree", "--rules", "63", "--seed", "42", "--out", "tree"]
+TREE_TRAIN = ["train", "--rules", "tree/rules.json", "--data", "tree/train.jsonl", "--out", "run",
+              "--seed", "42", "--max-iters", "5"]
+VARIANTS = {  # a later --max-iters overrides TRAIN's
+    "no-tms": (GEN, [*TRAIN, "--no-tms", "--max-iters", "8"]),
+    "tau": (GEN, [*TRAIN, "--tau", "0.3", "--max-iters", "10"]),
+    "one-iteration": (GEN, [*TRAIN, "--max-iters", "1"]),
+    "tree": (TREE_GEN, TREE_TRAIN),
+}
+VARIANT_GOLDEN = {
+    "no-tms": {
+        "trace.json": "22b3268be11b4a98bc0856ce2f8ba0807eff0ec4a283b5dbdadfc1f3f8e06ce9",
+        "trained.json": "f05b90493a6e47c20ea3aa20270dd15549be15783603520f5afd32a152a135d4",
+    },
+    "one-iteration": {
+        "trace.json": "16836cf5d62c912f13dd05d1c9039556a5cc13367457f5214d6968d54348e9fc",
+        "trained.json": "14bb97bd6dafab6114efea94934ae69f01bc382b12a60bdcc9ccb9fb6fba4eb1",
+    },
+    "tau": {
+        "trace.json": "7634055c8f5f10baf0c82406a5728289ac67023d4fb96ea3c055004e44c146dc",
+        "trained.json": "372f545acc06a510fb4d3c57c33c6ae9015f6e499a8d119fcc724f1b367a30d5",
+    },
+    "tree": {
+        "trace.json": "5e9d3daa4239335ec12a534f6b8852e474c73077f7256499a82c579484df847a",
+        "trained.json": "f28945830c56e157f495caf6473524ecf15f3627ca486677c185a82f587cd442",
+    },
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_fixed_seed_train_variants_write_the_pinned_bytes(variant, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    gen, train = VARIANTS[variant]
+    assert main(gen) == 0
+    assert main(train) == 0
+    got = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+           for name in OUTPUTS}
+    assert got == VARIANT_GOLDEN[variant]
+
+
+EVAL_GOLDEN = "bf8d0bbdf996569367462ead9d874d38b76990cc83488de1b159b594eb2887c4"
+
+
+def test_fixed_seed_eval_per_object_prints_the_pinned_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(GEN) == 0
+    capsys.readouterr()
+    assert main(["eval", "--rules", "gen/rules.json", "--data", "gen/train.jsonl", "--per-object"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == EVAL_GOLDEN

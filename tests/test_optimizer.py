@@ -86,7 +86,8 @@ class TestConfig:
          ("fd_scheme", "backward"), ("step_init", 0.0), ("step_init", -0.5), ("shrink", 0.0),
          ("shrink", 1.0), ("max_backtracks", -1), ("max_iters", 0), ("holdout_fraction", -0.1),
          ("holdout_fraction", 1.0), ("multi_start", 0), ("tol_objective_window", 0),
-         ("train_only", ()), ("train_only", [])],
+         ("train_only", ()), ("train_only", []), ("threshold", 1.5), ("threshold", 1.0),
+         ("threshold", -0.1)],
     )
     def test_out_of_range_rejected(self, name, value):
         # fd_eps > 1 probes weights outside [-1, 1]; armijo_c < 0 accepts a
@@ -98,11 +99,12 @@ class TestConfig:
         "name, value",
         [("max_iters", 1.5), ("multi_start", 2.0), ("max_backtracks", 1.5), ("max_iters", True),
          ("seed", 0.0), ("fd_eps", True), ("use_tms", "no"), ("use_tms", 1), ("penalty", None),
-         ("penalty", 10.0), ("train_only", "r0")],
+         ("penalty", 10.0), ("train_only", "r0"), ("train_only", 5), ("train_only", (1, 2))],
     )
     def test_mistyped_rejected(self, name, value):
-        # unchecked, a float count fails later in range() and a bare str
-        # trains its characters as rule ids
+        # unchecked, a float count fails later in range(), a bare str
+        # trains its characters as rule ids, and a non-str id fails only at
+        # session start
         with pytest.raises(ValueError, match=name):
             OptimizerConfig(**{name: value})
 
@@ -111,7 +113,7 @@ class TestConfig:
         [("fd_eps", 1.0), ("armijo_c", 0.0), ("armijo_c", 0.999), ("fd_scheme", "central"),
          ("shrink", 0.999), ("max_backtracks", 0), ("max_iters", 1), ("holdout_fraction", 0.0),
          ("holdout_fraction", 0.999), ("multi_start", 1), ("tol_objective_window", 1),
-         ("train_only", None), ("train_only", ("r1",))],
+         ("train_only", None), ("train_only", ("r1",)), ("threshold", 0.0), ("threshold", 0.999)],
     )
     def test_range_edges_accepted(self, name, value):
         assert getattr(OptimizerConfig(**{name: value}), name) == value
@@ -1154,8 +1156,8 @@ class TestWalks:
         # two starts, each with its training and holdout states
         assert len({id(st) for st in states}) == 2 * len(objects)
         for st in states:
-            _, threshold, obj, steps = st.walk
-            assert obj is by_object[st.object_id] and threshold == cfg.threshold and steps
+            obj, steps = st.walk
+            assert obj is by_object[st.object_id] and st.threshold == cfg.threshold and steps
 
 
 class TestBench:

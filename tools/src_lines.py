@@ -11,7 +11,9 @@ Usage: ``python3 tools/src_lines.py [--against REV] [SRC_DIR]``
 (default: ``src`` beside this script's directory).  Prints one row per
 module and a total row.  With ``--against REV`` it also counts SRC_DIR as
 git revision REV holds it (read with ``git ls-tree`` and ``git show``) and
-prints that total and a delta row, this tree minus REV, per kind.
+prints a delta row per module, this tree minus REV, per kind (a module
+only one side has counts as empty on the other), then that total and the
+total's delta row.
 """
 
 from __future__ import annotations
@@ -77,10 +79,13 @@ def row(name: str, counts: dict[str, int]) -> str:
     return f"{name:<32}{sum(counts.values()):>7}" + "".join(f"{counts[k]:>11}" for k in KINDS)
 
 
-def total(sources: dict[str, str]) -> dict[str, int]:
-    """The counts of ``sources`` (path -> text), summed by kind."""
-    counts = [count(text) for text in sources.values()]
-    return {k: sum(c[k] for c in counts) for k in KINDS}
+def total(counts: dict[str, dict[str, int]]) -> dict[str, int]:
+    """The counts of each module (path -> counts), summed by kind."""
+    return {k: sum(c[k] for c in counts.values()) for k in KINDS}
+
+
+def delta(now: dict[str, int], then: dict[str, int]) -> dict[str, int]:
+    return {k: now[k] - then[k] for k in KINDS}
 
 
 def main(argv: list[str]) -> int:
@@ -90,21 +95,24 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--against", metavar="REV", help="also count the git revision REV")
     args = parser.parse_args(argv[1:])
     root = args.src_dir
-    sources = {
-        p.relative_to(root).as_posix(): p.read_text(encoding="utf-8") for p in root.rglob("*.py")
+    now = {
+        p.relative_to(root).as_posix(): count(p.read_text(encoding="utf-8")) for p in root.rglob("*.py")
     }
     print(f"{'module':<32}{'lines':>7}" + "".join(f"{k:>11}" for k in KINDS))
-    for name in sorted(sources):
-        print(row(name, count(sources[name])))
-    now = total(sources)
-    print(row("total", now))
+    for name in sorted(now):
+        print(row(name, now[name]))
     if args.against is not None:
         try:
-            then = total(revision_sources(root, args.against))
+            then = {name: count(text) for name, text in revision_sources(root, args.against).items()}
         except subprocess.CalledProcessError as e:
             sys.exit(f"git: {e.stderr.strip()}")
-        print(row(f"total at {args.against}", then))
-        print(row("delta", {k: now[k] - then[k] for k in KINDS}))
+        none = dict.fromkeys(KINDS, 0)  # a module one side lacks
+        for name in sorted(now.keys() | then.keys()):
+            print(row(f"delta {name}", delta(now.get(name, none), then.get(name, none))))
+    print(row("total", total(now)))
+    if args.against is not None:
+        print(row(f"total at {args.against}", total(then)))
+        print(row("delta", delta(total(now), total(then))))
     return 0
 
 
