@@ -258,25 +258,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=".")
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--fd", choices=["forward", "central"], default="forward")
-    p.add_argument("--fd-eps", type=float, default=1e-4, help="finite-difference step, in (0, 1]")
-    p.add_argument("--step-init", type=float, default=0.5)
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--fd", choices=["forward", "central"], default=OptimizerConfig.fd_scheme)
+    p.add_argument("--fd-eps", type=float, default=OptimizerConfig.fd_eps, help="difference step, in (0, 1]")
+    p.add_argument("--step-init", type=float, default=OptimizerConfig.step_init)
+    p.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters)
     p.add_argument("--no-tms", action="store_true",
                    help="disable incremental re-evaluation (every probe is a full pass)")
     p.add_argument("--train-only", default=None, help="comma-separated rule ids to optimize")
-    p.add_argument("--holdout", type=float, default=0.0)
-    p.add_argument("--multi-start", type=int, default=1)
-    p.add_argument("--mu", type=float, default=10.0, help="soft-bound penalty coefficient")
-    p.add_argument("--tau", type=float, default=0.0, help="rule firing threshold")
+    p.add_argument("--holdout", type=float, default=OptimizerConfig.holdout_fraction)
+    p.add_argument("--multi-start", type=int, default=OptimizerConfig.multi_start)
+    p.add_argument("--mu", type=float, default=PenaltyConfig.coefficient, help="soft-bound penalty coefficient")
+    p.add_argument("--tau", type=float, default=OptimizerConfig.threshold, help="rule firing threshold")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a rule base against a dataset")
     p.add_argument("--rules", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--mu", type=float, default=10.0)
-    p.add_argument("--tau", type=float, default=0.0)
+    p.add_argument("--mu", type=float, default=PenaltyConfig.coefficient)
+    p.add_argument("--tau", type=float, default=FiringPolicy.threshold)
     p.add_argument("--per-object", action="store_true")
     p.set_defaults(func=cmd_eval)
 

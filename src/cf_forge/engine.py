@@ -92,20 +92,20 @@ class ObjectEvaluation:
     empties them until the next full pass.
 
     walk is None (the default) or a tuple, which a caller sets to () to ask
-    for a walk: the full pass that finds no walk of its own builds one from
-    its CFs and contributions, as (object, folded steps), one per leading
-    step of the plan (see model.FiringPlan): (id, [(slot, rule, antecedent
-    CF), ...]) over the rules that fire, which a pass folds with no read
-    and no threshold test before it reads the read steps.  A pass takes
-    the walk only when its object is the pass's and the state's plan_key
-    and threshold equal the pass's, which is enough, since every pass that
-    sets them keeps or builds the walk; else it reads every step and
-    builds anew.  Mutating ``obj.facts`` in place while a state keeps a
-    walk of ``obj`` is unsupported: the walk keeps the old facts' firings.
-    A walked pass records no prefix at a silent slot of a folded step,
-    which no probe reads: probe_consequent reads ``prefix[slot]`` only
-    where the rule fires, and a perturb's start is its own slot, read only
-    where it fires, or the slot of a rule that reads a derived proposition.
+    for a walk: (object, folded steps), one per leading step of the plan
+    (see model.FiringPlan), (id, [(slot, rule, antecedent CF), ...]) over
+    the rules that fire.  A leading rule reads only inputs, so a pass that
+    finds no walk of its own compiles one from the object's facts before any
+    step; every walking pass folds those entries with no read and no
+    threshold test, then reads the read steps.  A walk holds while its
+    object is the pass's and the state's plan_key and threshold equal the
+    pass's, which is enough: every pass that sets them keeps or compiles the
+    walk, and a pass that raises sets none.  Mutating ``obj.facts`` in place
+    while a state keeps a walk of ``obj`` is unsupported.  A walking pass
+    records no prefix at a silent slot of a folded step, which no probe
+    reads: probe_consequent reads ``prefix[slot]`` only where the rule
+    fires, and a perturb's start is its own slot, read only where it fires,
+    or the slot of a rule that reads a derived proposition.
     """
 
     __slots__ = ("object_id", "prop_cf", "contributions", "threshold", "counters", "undo", "prefix",
@@ -142,7 +142,7 @@ def evaluate_full(
     consequent reads as 0 while no rule fires into it.  Pass ``into`` to
     reuse a state object: its CFs, contributions and threshold are
     replaced, its prefix accumulators (if it keeps them) are refilled, its
-    walk (if it asked for one) is folded for the leading steps or built,
+    walk (if it asked for one) is compiled if it does not hold and folded,
     and its counters keep accumulating.
     """
     if into is None:
@@ -155,15 +155,15 @@ def evaluate_full(
         state = into
     plan = rb.firing_plan()
     threshold = policy.threshold
-    walk = state.walk
-    if walk and walk[0] is obj and state.plan_key == plan.key and state.threshold == threshold:
-        folded, read = walk[1], plan.steps[plan.read_from:]
-    else:
-        folded, read = (), plan.steps
     env = plan.initial.copy()
     facts = obj.facts
     for p in plan.inputs:
         env[p] = facts.get(p, 0.0)
+    walk = state.walk
+    held = walk and walk[0] is obj and state.plan_key == plan.key and state.threshold == threshold
+    if walk is not None and not held:
+        walk = (obj, _walk(plan, env, threshold))
+    folded, read = (walk[1], plan.steps[plan.read_from:]) if walk else ((), plan.steps)
     n = len(plan.refires)
     contribs: list[float | None] = [None] * n
     pre = None if state.prefix is None else _ZEROS * n
@@ -190,8 +190,7 @@ def evaluate_full(
                 acc = combine_parallel(acc, c)
                 fired += 1
         env[prop_id] = acc
-    if walk is not None and read is plan.steps:
-        state.walk = (obj, _walk(plan, env, contribs))
+    state.walk = walk
     state.prop_cf = env
     state.contributions = contribs
     state.prefix = pre
@@ -202,11 +201,11 @@ def evaluate_full(
     return state
 
 
-def _walk(plan: FiringPlan, env: dict[str, float], contribs: list[float | None]) -> list:
-    """The folded steps of a walk (see ObjectEvaluation), from the CFs and
-    contributions of a full pass over the plan's steps."""
-    return [(prop_id, [(slot, rule, env[leaf] if type(leaf) is str else eval_expr(leaf, env))
-                       for slot, rule, leaf in entries if contribs[slot] is not None])
+def _walk(plan: FiringPlan, env: dict[str, float], threshold: float) -> list:
+    """The folded steps of a walk (see ObjectEvaluation), compiled from the
+    inputs bound in ``env``: each leading rule's antecedent is read once."""
+    return [(prop_id, [(slot, rule, a) for slot, rule, leaf in entries
+                       if (a := env[leaf] if type(leaf) is str else eval_expr(leaf, env)) > threshold])
             for prop_id, entries in plan.steps[:plan.read_from]]
 
 

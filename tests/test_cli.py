@@ -13,7 +13,10 @@ import pytest
 import cf_forge
 from cf_forge import EmptyDataset, load_rulebase
 from cf_forge.cli import _write_json, build_parser, main
+from cf_forge.engine import DEFAULT_POLICY
+from cf_forge.metric import PenaltyConfig
 from cf_forge.model import MAX_EXPR_DEPTH
+from cf_forge.optimizer import OptimizerConfig
 
 
 def run(*argv):
@@ -279,6 +282,28 @@ class TestEval:
         for term in per_object:  # a left fold from 0.0, in file order
             total += term
         assert total.hex() == doc["metric"].hex()
+
+
+class TestDefaults:
+    """Each train and eval flag left out parses to the library default of
+    the field it feeds, so the CLI and the library cannot drift apart."""
+
+    TRAIN_FEEDS = {"fd": "fd_scheme", "fd_eps": "fd_eps", "step_init": "step_init",
+                   "max_iters": "max_iters", "holdout": "holdout_fraction",
+                   "multi_start": "multi_start", "tau": "threshold"}
+
+    def parse(self, command):
+        return build_parser().parse_args([command, "--rules", "r.json", "--data", "d.jsonl"])
+
+    def test_an_absent_train_flag_parses_to_the_library_default(self):
+        args, cfg = self.parse("train"), OptimizerConfig()
+        for flag, name in self.TRAIN_FEEDS.items():
+            assert getattr(args, flag) == getattr(cfg, name), flag
+        assert args.mu == cfg.penalty.coefficient and args.no_tms is not cfg.use_tms
+
+    def test_an_absent_eval_flag_parses_to_the_library_default(self):
+        args = self.parse("eval")  # a full pass under the default firing policy
+        assert args.mu == PenaltyConfig().coefficient and args.tau == DEFAULT_POLICY.threshold
 
 
 class TestBenchAndAudit:

@@ -1086,7 +1086,10 @@ class TestWalk:
         plan = rb.firing_plan()
         assert [p for p, _ in plan.steps] == ["c", "d"] and plan.read_from == 1
         obj = TrainingObject(id="o", facts={"f": 0.8, "g": -0.5, "h": 0.6}, label="c")
-        state = evaluate(rb, obj, walk=True)
+        with pytest.MonkeyPatch.context() as mp:
+            evals = count_calls(mp, "eval_expr")
+            state = evaluate(rb, obj, walk=True)
+        assert evals[0] == 2  # r2's And once, to compile the walk, and r3's
         walked_obj, steps = state.walk
         assert walked_obj is obj and (state.plan_key, state.threshold) == (plan.key, 0.0)
         # the leading step folds only its firing rules: r1 is silent; r0
@@ -1161,6 +1164,31 @@ class TestWalk:
         fresh = evaluate(rb, obj, prefix=True)
         walked = [0, 2, 3, 4, 5]  # r1 is a silent rule of the folded step
         assert [state.prefix[s] for s in walked] == [fresh.prefix[s] for s in walked]
+
+    def test_a_raising_pass_leaves_a_walking_state_unchanged(self):
+        rb = self.mixed_base()
+        obj = TrainingObject(id="o", facts={"f": 0.8, "g": 0.2, "h": 0.6}, label="c")
+        state = evaluate(rb, obj, prefix=True, walk=True)
+        evaluate_full(rb, obj, into=state)
+        before = (state.walk, state.plan_key, state.threshold, exact(state), list(state.prefix),
+                  state.counters.rules_fired)
+        # an unchecked base with other weights, whose read step d reads an
+        # undeclared proposition: the pass compiles a walk, then raises
+        rules = [Rule(id=r.id, antecedent=r.antecedent, consequent=r.consequent, weight=-r.weight)
+                 for r in rb.rules]
+        rules.append(Rule(id="r6", antecedent=Ref("ghost"), consequent="d", weight=0.5))
+        other = RuleBase(list(rb.propositions.values()), rules)
+        with pytest.raises(UnboundProposition):
+            evaluate_full(other, obj, FiringPolicy(threshold=0.1), into=state)
+        assert state.walk is before[0] and state.walk[0] is obj
+        assert (state.walk, state.plan_key, state.threshold, exact(state), list(state.prefix),
+                state.counters.rules_fired) == before
+        with pytest.MonkeyPatch.context() as mp:
+            evals = count_calls(mp, "eval_expr")
+            evaluate_full(rb, obj, into=state)
+        assert evals[0] == 0  # the kept walk still holds
+        assert exact(state) == exact(evaluate(rb, obj, prefix=True))
+        assert list(state.prefix) == list(evaluate(rb, obj, prefix=True, walk=True).prefix)
 
     @pytest.mark.parametrize("change", ["copy", "threshold", "object"])
     def test_a_walk_is_ignored_under_another_key(self, change):

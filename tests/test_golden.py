@@ -9,13 +9,18 @@ single bit fails here.  The ``bench`` digests pin the standard output of
 one gradient on each one-object shaped base (flat, tree, chain), in both
 modes where the ladder stays small.  The variant digests pin the same
 train with naive probes, with a firing threshold, with one iteration (no
-state keeps a walk), and a train on a tree-shaped base, whose firing plan
-orders its propositions otherwise than by topological position alone;
+state keeps a walk), a train on a tree-shaped base, whose firing plan
+orders its propositions otherwise than by topological position alone,
+and a train of six iterations on a base with compound antecedents and a
+hidden proposition (see ``compound_rules``), the one variant whose passes
+evaluate antecedent expressions and read a step that input-layer and
+other rules both conclude;
 the ``eval`` digest pins the standard output of ``--per-object``.  A
 change that is meant to alter results updates the digests and says why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -67,8 +72,13 @@ VARIANTS = {  # a later --max-iters overrides TRAIN's
     "tau": (GEN, [*TRAIN, "--tau", "0.3", "--max-iters", "10"]),
     "one-iteration": (GEN, [*TRAIN, "--max-iters", "1"]),
     "tree": (TREE_GEN, TREE_TRAIN),
+    "compound": (GEN, [*TRAIN, "--max-iters", "6"]),
 }
 VARIANT_GOLDEN = {
+    "compound": {
+        "trace.json": "3a559409546d1236b3e1ba9a02501be7681e1c1b566da90078019f5d9dcfde04",
+        "trained.json": "1c5549f4e072f710c0cc7deeb8112c0bfc004d22cbcb304490768158d479a4ef",
+    },
     "no-tms": {
         "trace.json": "22b3268be11b4a98bc0856ce2f8ba0807eff0ec4a283b5dbdadfc1f3f8e06ce9",
         "trained.json": "f05b90493a6e47c20ea3aa20270dd15549be15783603520f5afd32a152a135d4",
@@ -88,11 +98,38 @@ VARIANT_GOLDEN = {
 }
 
 
+def compound_rules(path):
+    """Rewrite GEN's flat base in place: c1's rules read an and, an or or an
+    and-not of two features; a hidden h, concluded by two such rules, is
+    read by two more rules into c0, so c0's step mixes input-layer rules
+    with rules that read a derived proposition."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["propositions"].append({"id": "h", "kind": "derived", "output_class": False})
+    ops = [lambda a, b: {"and": [a, b]}, lambda a, b: {"or": [a, b]},
+           lambda a, b: {"and": [a, {"not": b}]}]
+    c1 = [r for r in doc["rules"] if r["then"] == "c1"]
+    for i, rule in enumerate(c1):
+        rule["if"] = ops[i % 3](rule["if"], c1[(i + 1) % len(c1)]["if"])
+    extra = [("r_h_0", {"and": ["f000", "f003"]}, "h", 0.4),
+             ("r_h_1", {"or": ["f004", {"not": "f005"}]}, "h", -0.3),
+             ("r_h_c0", "h", "c0", 0.3),
+             ("r_hf_c0", {"and": ["h", "f009"]}, "c0", -0.2)]
+    for rid, expr, then, weight in extra:
+        doc["rules"].append({"id": rid, "if": expr, "then": then, "weight": weight,
+                             "bounds": [-1.0, 1.0], "bound_kind": "hard", "trainable": True})
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+REWRITES = {"compound": compound_rules}
+
+
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_fixed_seed_train_variants_write_the_pinned_bytes(variant, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     gen, train = VARIANTS[variant]
     assert main(gen) == 0
+    if variant in REWRITES:
+        REWRITES[variant](tmp_path / "gen" / "rules.json")
     assert main(train) == 0
     got = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
            for name in OUTPUTS}
