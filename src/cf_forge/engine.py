@@ -7,7 +7,7 @@ a trainer makes one weight at a time.  Each mechanism is stated once:
 - the walk over the leading steps and when it holds: ``ObjectEvaluation``;
 - the incremental re-fire and why it is bit-exact: ``perturb_weight``;
 - the undo log's replay: ``restore_weight``;
-- the read-only probe: ``probe_consequent``;
+- the read-only probe, fed by a scan or a firing list: ``probe_consequent``;
 - which a trainer's probe takes: ``optimizer._Session._probe_objective``.
 
 ``combine_parallel`` and ``eval_expr`` are looked up as module globals at
@@ -276,46 +276,60 @@ def perturb_weight(state: ObjectEvaluation, rb: RuleBase, rule_id: str, new_weig
 
 
 def probe_consequent(
-    states: Sequence[ObjectEvaluation], rb: RuleBase, rule_id: str, new_weight: float
+    states: Sequence[ObjectEvaluation], rb: RuleBase, rule_id: str, new_weight: float,
+    fires: Sequence[tuple[int, float]] | None = None,
 ) -> tuple[str, list[int], list[float]]:
     """The read-only probe, for a rule whose closure plan is the rule alone
     (ValueError otherwise): no rule reads its consequent, so a displaced
     weight changes that one CF and nothing else.
 
-    Returns the consequent, the positions of the states the rule fires in
-    (their stored contribution at its slot is not None; a perturb changes
-    no other state), and per such state the CF perturb_weight(state, rb,
-    rule_id, new_weight) would give the consequent: the accumulator before
-    the rule's slot (its prefix while valid, else the fold of [lo, slot)),
+    Returns the consequent, the positions of the states the rule fires in,
+    and per such state the CF perturb_weight(state, rb, rule_id,
+    new_weight) would give the consequent: the accumulator before the
+    rule's slot (its prefix while valid, else the fold of [lo, slot)),
     combined with new_weight x the antecedent CF, then the firing slots of
-    (slot, hi).  It checks every state's plan key (see ObjectEvaluation)
-    and each firing state's status, and fires and combines, as that perturb
-    would (whose replayed restore does neither), so work counters read the
-    same by either route; it writes only the firing counters, after every
-    state passed its checks."""
+    (slot, hi).  ``fires`` gives those states as (position, antecedent CF)
+    pairs in position order, as a session lists them from its walks;
+    without it the probe scans every state and reads the antecedent of
+    each whose stored contribution at the rule's slot is not None.  One
+    loop takes either source and checks each firing state's plan key (see
+    ObjectEvaluation) and status.  So the scan refuses a state of another
+    plan anywhere and a contribution stored where the rule is silent, but
+    skips as silent a state whose contribution was cleared; a list refuses
+    a listed state of another plan or holding None, and never reads a
+    silent state, on which the value does not depend.  It fires and
+    combines as that perturb would (whose replayed restore does neither),
+    so work counters read the same by either route; it writes only the
+    firing counters, after every state passed its checks."""
     plan = rb.closure_plan(rule_id)
     if len(plan) != 1:
         raise ValueError(f"rule {rule_id!r} has dependents; perturb_weight probes it")
     _, leaf, cons, _, slot, lo, hi, _ = plan[0]
     key = rb.firing_plan().key
+    if fires is None:
+        fires = []
+        for i, state in enumerate(states):
+            if state.plan_key != key:
+                raise InconsistentState(f"state of object {state.object_id!r} was not evaluated under this base")
+            if state.contributions[slot] is not None:
+                prop_cf = state.prop_cf
+                fires.append((i, prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)))
     positions, cfs = [], []
-    for i, state in enumerate(states):
+    for i, a in fires:
+        state = states[i]
         if state.plan_key != key:
             raise InconsistentState(f"state of object {state.object_id!r} was not evaluated under this base")
         contrib = state.contributions
-        if contrib[slot] is None:
-            continue
-        prop_cf = state.prop_cf
-        a = prop_cf[leaf] if type(leaf) is str else eval_expr(leaf, prop_cf)
-        if not a > state.threshold:
+        if contrib[slot] is None or not a > state.threshold:
             raise InconsistentState(f"rule {rule_id!r} firing status disagrees with stored contributions")
         pre = state.prefix
-        if pre and state.undo is None:
-            acc = pre[slot]
-        else:
-            acc = _fold(contrib, lo, slot)
+        acc = combine_parallel(pre[slot] if pre and state.undo is None else _fold(contrib, lo, slot),
+                               new_weight * a)
+        for c in contrib[slot + 1:hi]:
+            if c is not None:
+                acc = combine_parallel(acc, c)
         positions.append(i)
-        cfs.append(_fold(contrib, slot + 1, hi, combine_parallel(acc, new_weight * a)))
+        cfs.append(acc)
     for i in positions:  # a refused call writes nothing
         states[i].counters.rules_fired += 1
     return cons, positions, cfs

@@ -3,7 +3,8 @@ Each mechanism is stated once:
 
 - the default training objective, and the invariant that lets a probe
   refold its per-object terms: ``margin_metric``;
-- one object's term, its one definition: ``margin_term``;
+- one object's term, its one definition: ``margin_term``, over the
+  label's rivals: ``rival_classes``;
 - the soft-bound quadratic hinge: ``PenaltyConfig`` and ``penalty``;
 - the discrete diagnostic, for reporting only: ``accuracy``;
 - how the trainer probes this metric by refolding its terms, and any
@@ -69,15 +70,22 @@ def margin_metric(
     very value a whole call would give.  A plug-in's terms promise neither
     (a mean's depend on the object count), so only this metric's are
     refolded."""
-    class_order = sorted(classes)
-    class_set = set(class_order)
+    rivals = rival_classes(classes)
     terms: list[float] = []
     total = 0.0
     for ev in evaluations:
-        term = margin_term(ev.prop_cf, _label(ev, labels, class_set), class_order)
+        label = _label(ev, labels, rivals)
+        term = margin_term(ev.prop_cf, label, rivals[label])
         total += term
         terms.append(term)
     return MetricValue(value=total, per_object=terms)
+
+
+def rival_classes(classes: Sequence[str]) -> dict[str, list[str]]:
+    """Each class's rivals, the other classes in sorted order: the classes
+    margin_term sums over for an object of that label."""
+    order = sorted(classes)
+    return {label: [cid for cid in order if cid != label] for label in order}
 
 
 def _label(ev: ObjectEvaluation, labels: Mapping[str, str], classes: Container[str]) -> str:
@@ -91,20 +99,18 @@ def _label(ev: ObjectEvaluation, labels: Mapping[str, str], classes: Container[s
 def margin_term(
     prop_cf: Mapping[str, float],
     label: str,
-    class_order: Sequence[str],
+    rivals: Sequence[str],
     prop: str | None = None,
     cf: float = 0.0,
 ) -> float:
-    """One object's margin_metric term, classes in ``class_order`` (sorted),
-    reading each class CF from ``prop_cf``, except that proposition
-    ``prop``, when given, reads ``cf``: the term of the evaluation that
-    differs from ``prop_cf`` in that one CF, which a probe that changed
-    only that CF re-scores without writing the state."""
+    """One object's margin_metric term, summed over the label's ``rivals``
+    (see rival_classes), reading each class CF from ``prop_cf``, except
+    that proposition ``prop``, when given, reads ``cf``: the term of the
+    evaluation that differs from ``prop_cf`` in that one CF, which a probe
+    that changed only that CF re-scores without writing the state."""
     cf_true = cf if label == prop else prop_cf[label]
     term = 0.0
-    for cid in class_order:
-        if cid == label:
-            continue
+    for cid in rivals:
         d = 2.0 + ((cf if cid == prop else prop_cf[cid]) - cf_true)
         term += d * d
     return term

@@ -8,6 +8,7 @@ each mechanism is stated once:
   from its score: ``_Session.gradient``;
 - the probe routes, full pass or incremental, and why each gives the
   full-evaluation value bit for bit: ``_Session._probe_objective``;
+- the firing lists a descent compiles from its walks: ``_Session.descend``;
 - the Armijo test along the projection arc: ``_Session.line_search``, and
   its Barzilai-Borwein first trial step: ``_bb_step``;
 - the probe-count identity and the firing count: ``EvaluationBudget``,
@@ -34,7 +35,7 @@ from .engine import (
     restore_weight,
 )
 from .errors import CfForgeError, EmptyDataset, NoTrainableRules, NonFiniteObjective, ParseError
-from .metric import MetricFn, PenaltyConfig, margin_metric, margin_term, penalty
+from .metric import MetricFn, PenaltyConfig, margin_metric, margin_term, penalty, rival_classes
 from .model import HARD, SOFT, Rule, RuleBase, TrainingObject, _take
 
 # clip interval of the Barzilai-Borwein first trial step
@@ -224,11 +225,15 @@ def _bb_step(
 
 
 class _Part:
-    """Objects scored together, each with one reusable evaluation state."""
+    """Objects scored together, each with one reusable evaluation state;
+    rivals holds, by position, each object's label and its rival classes
+    (see metric.rival_classes)."""
 
-    def __init__(self, objects: Sequence[TrainingObject]):
+    def __init__(self, objects: Sequence[TrainingObject], classes: Sequence[str]):
         self.objects = list(objects)
         self.labels = {o.id: o.label for o in self.objects}
+        rivals = rival_classes(classes)
+        self.rivals = [(o.label, rivals.get(o.label)) for o in self.objects]
         self.states = [ObjectEvaluation(o.id) for o in self.objects]
         self.terms: list[float] | None = None
 
@@ -264,8 +269,9 @@ class _Session:
             if o.id in seen:
                 raise CfForgeError(f"object id {o.id!r} appears more than once")
             seen.add(o.id)
-        self.train = _Part(objects)
-        self.holdout = _Part(holdout)
+        self.train = _Part(objects, self.classes)
+        self.holdout = _Part(holdout, self.classes)
+        self.fires: dict[str, list[tuple[int, float]]] = {}  # see descend
         # looked up on the module, so a wrapper installed there (as the
         # profiler's is) and passed in still probes incrementally
         self.incremental = cfg.use_tms and metric_fn is metric.margin_metric
@@ -307,20 +313,23 @@ class _Session:
         A probe that is not ``incremental`` (``use_tms`` off, or any metric
         but margin_metric) is a full pass.  An incremental probe refolds the
         training part's margin_metric terms: only the objects the rule
-        fires on can change, and the probe finds them from the states'
-        stored contributions, by one of two routes picked by the rule's
-        closure alone, never by the object count.  When the rule's closure
-        plan is the rule alone (no rule reads its consequent, as on a flat
-        base), it only reads: engine.probe_consequent gives the
-        consequent's CF on each object the rule fires on, and margin_term
-        re-scores those objects with it.  Otherwise perturb_weight runs on
-        every state, and each state it re-fired in is re-scored and
-        restore_weight replays its undo log.  The terms, those replaced,
-        are refolded as margin_metric allows.  Both routes give the same
-        value, firings and combines; the engine is exact, and the refolded
-        terms and reused penalty are the values a rescan gives, so the
-        incremental gradient equals the full-evaluation gradient bit for
-        bit at O(closure) firings per changed object."""
+        fires on can change, and the probe finds them by one of two routes
+        picked by the rule's closure alone, never by the object count.
+        When the rule's closure plan is the rule alone (no rule reads its
+        consequent, as on a flat base), it only reads:
+        engine.probe_consequent gives the consequent's CF on each object
+        the rule fires on, found from the rule's firing list while the
+        session holds one (see descend), else from the states' stored
+        contributions, and margin_term re-scores those objects with it,
+        over the label and rival classes the part keeps by position.
+        Otherwise perturb_weight runs on every state, and each state it
+        re-fired in is re-scored and restore_weight replays its undo log.
+        The terms, those replaced, are refolded as margin_metric allows.
+        Both routes give the same value, firings and combines; the engine
+        is exact, and the refolded terms and reused penalty are the values
+        a rescan gives, so the incremental gradient equals the
+        full-evaluation gradient bit for bit at O(closure) firings per
+        changed object."""
         old = rule.weight
         rule.weight = w_probe
         try:
@@ -328,14 +337,15 @@ class _Session:
                 value = self.score(self.train)[0]
             else:
                 part = self.train
-                states, labels, classes = part.states, part.labels, self.classes
+                states, rivals = part.states, part.rivals
                 rb, rule_id = self.rb, rule.id
                 probed = part.terms.copy()
                 if len(rb.closure_plan(rule_id)) == 1:
-                    cons, changed, cfs = probe_consequent(states, rb, rule_id, w_probe)
+                    fires = self.fires.get(rule_id)
+                    cons, changed, cfs = probe_consequent(states, rb, rule_id, w_probe, fires)
                     for i, cf in zip(changed, cfs):
-                        st = states[i]
-                        probed[i] = margin_term(st.prop_cf, labels[st.object_id], classes, cons, cf)
+                        label, others = rivals[i]
+                        probed[i] = margin_term(states[i].prop_cf, label, others, cons, cf)
                 else:
                     # bound per probe, not at import, so a wrapper installed
                     # on this module still sees every call
@@ -343,7 +353,8 @@ class _Session:
                     for i, st in enumerate(states):
                         # 0 re-fires exactly where the rule is silent: nothing changed
                         if perturb(st, rb, rule_id, w_probe):
-                            probed[i] = margin_term(st.prop_cf, labels[st.object_id], classes)
+                            label, others = rivals[i]
+                            probed[i] = margin_term(st.prop_cf, label, others)
                             restore(st, rb, rule_id, old)
                 value = reduce(add, probed, 0.0)
                 if rule.bound_kind == SOFT:
@@ -436,13 +447,27 @@ class _Session:
         not a search failure.  When more than one iteration may run, every
         state asks for a walk (see engine.ObjectEvaluation) before the
         initial score; a one-iteration run's few passes would not repay a
-        walk's memory.  The training states' prefixes are dropped once the
-        last gradient that reads them is taken."""
+        walk's memory.  An incremental session then compiles from the
+        training states' walks, once, a firing list per input-layer rule:
+        the (position, antecedent CF) of each state the rule fires in, in
+        position order.  Whether such a rule fires depends on no weight,
+        and the walks hold for the whole descent, so the lists do too;
+        read-only probes take them instead of scanning every state.  The
+        training states' prefixes and the lists are dropped once the last
+        gradient that reads them is taken."""
         cfg = self.cfg
         if cfg.max_iters > 1:
             for st in (*self.train.states, *self.holdout.states):
                 st.walk = ()
         f_cur, m_cur, p_cur = self.score(self.train)
+        if cfg.max_iters > 1 and self.incremental:
+            plan = self.rb.firing_plan()
+            fires = self.fires = {rule.id: [] for _, entries in plan.steps[:plan.read_from]
+                                  for _, rule, _ in entries}
+            for i, st in enumerate(self.train.states):
+                for _, entries in st.walk[1]:
+                    for _, rule, a in entries:
+                        fires[rule.id].append((i, a))
         initial = {"objective": f_cur, "metric": m_cur, "penalty": p_cur}
         if self.holdout.objects:
             initial["holdout_objective"] = self.score(self.holdout)[0]
@@ -452,9 +477,10 @@ class _Session:
         last = None  # (weights, gradient) where the last accepted step began
         for it in range(1, cfg.max_iters + 1):
             g = self.gradient(f_cur, p_cur)
-            if it == cfg.max_iters:  # no gradient reads a prefix after this one
+            if it == cfg.max_iters:  # no gradient reads a prefix or a list after this one
                 for st in self.train.states:
                     st.prefix = None
+                self.fires = {}
             g_inf = self.projected_inf_norm(g)
             if g_inf <= cfg.tol_grad:
                 status = "converged_gradient"

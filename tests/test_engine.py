@@ -1156,6 +1156,101 @@ class TestWalk:
             assert exact(state) == exact(fresh)
             assert state.counters.rules_fired - counts[0] == fresh.counters.rules_fired - counts[1]
 
+    @staticmethod
+    def firing_lists(states):
+        """Per input-layer rule id, the (position, antecedent CF) of each
+        state whose walk lists the rule, in position order."""
+        lists = {}
+        for i, state in enumerate(states):
+            for _, entries in state.walk[1]:
+                for _, rule, a in entries:
+                    lists.setdefault(rule.id, []).append((i, a))
+        return lists
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        threshold=st.one_of(
+            st.just(0.0), st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True)
+        ),
+        moves=st.lists(
+            st.tuples(st.integers(min_value=0), st.floats(min_value=-1.0, max_value=1.0)),
+            max_size=4,
+        ),
+        kept=st.booleans(),
+        w=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    def test_a_listed_probe_equals_the_scan(self, seed, threshold, moves, kept, w):
+        """For every flat input-layer rule, the probe fed the firing list
+        compiled from walking states returns the consequent, positions and
+        CF bits, makes the firings and combines, that the scan makes over
+        states with the same history and no walk, and reads no antecedent.
+        With ``kept`` every state first holds a kept perturb's pending log,
+        so no probe reads a prefix."""
+        rng = random.Random(seed)
+        rb = random_rulebase(rng, max_rules=40)  # compound antecedents, mixed steps
+        policy = FiringPolicy(threshold=threshold)
+        objs = [random_object(rng, rb, f"o{i}") for i in range(rng.randint(1, 5))]
+        walking = [evaluate(rb, o, policy, prefix=True, walk=True) for o in objs]
+        plain = [evaluate(rb, o, policy, prefix=True) for o in objs]
+        for pick, weight in moves:
+            rb.rules[pick % len(rb.rules)].weight = weight
+            for obj, *states in zip(objs, walking, plain):
+                for state in states:
+                    evaluate_full(rb, obj, policy, into=state)
+        if kept:
+            other = rng.choice(rb.rules)
+            w_kept = rng.uniform(-1.0, 1.0)
+            for state in (*walking, *plain):
+                perturb_weight(state, rb, other.id, w_kept)
+            other.weight = w_kept
+        lists = self.firing_lists(walking)
+        plan = rb.firing_plan()
+        leading = [rule for _, entries in plan.steps[:plan.read_from] for _, rule, _ in entries]
+        for rule in leading:
+            if len(rb.closure_plan(rule.id)) != 1:
+                continue
+            seen = []
+            for states, fires in ((walking, lists.get(rule.id, [])), (plain, None)):
+                before = [state.counters.rules_fired for state in states]
+                with pytest.MonkeyPatch.context() as mp:
+                    combines, evals = count_calls(mp, "combine_parallel"), count_calls(mp, "eval_expr")
+                    probed = exact_probe(engine.probe_consequent(states, rb, rule.id, w, fires))
+                fired = [state.counters.rules_fired - n for state, n in zip(states, before)]
+                seen.append((probed, fired, combines[0], evals[0]))
+            assert seen[0][:3] == seen[1][:3]
+            assert seen[0][3] == 0
+
+    def test_a_listed_probe_checks_only_the_states_it_lists(self):
+        rb = single_rule_base()
+        objs = [TrainingObject(id=f"o{i}", facts={"f": f}, label="c")
+                for i, f in enumerate([0.8, -0.5, 0.3])]
+        states = [evaluate(rb, o, prefix=True, walk=True) for o in objs]
+        fires = self.firing_lists(states)["r1"]
+        assert [i for i, _ in fires] == [0, 2]
+        expected = exact_probe(engine.probe_consequent(states, rb, "r1", 0.9))
+        assert exact_probe(engine.probe_consequent(states, rb, "r1", 0.9, fires)) == expected
+        # a silent state is never read: a contribution stored in it, which
+        # the scan refuses, changes nothing the list gives
+        states[1].contributions[0] = 0.1
+        with pytest.raises(InconsistentState, match="firing status"):
+            engine.probe_consequent(states, rb, "r1", 0.9)
+        assert exact_probe(engine.probe_consequent(states, rb, "r1", 0.9, fires)) == expected
+        states[1].contributions[0] = None
+        # a listed state whose contribution was cleared, which the scan
+        # skips as silent, is refused before any counter moves
+        states[2].contributions[0] = None
+        assert engine.probe_consequent(states, rb, "r1", 0.9)[1] == [0]
+        fired = [s.counters.rules_fired for s in states]
+        with pytest.raises(InconsistentState, match="firing status"):
+            engine.probe_consequent(states, rb, "r1", 0.9, fires)
+        assert [s.counters.rules_fired for s in states] == fired
+        # a listed state of another plan is refused too
+        states[2] = evaluate(rb.copy(), objs[2], prefix=True)
+        with pytest.raises(InconsistentState, match="not evaluated under this base"):
+            engine.probe_consequent(states, rb, "r1", 0.9, fires)
+        assert [s.counters.rules_fired for s in states[:2]] == fired[:2]
+
     def test_a_walk_keeps_the_prefixes_probes_read(self):
         rb = self.mixed_base()
         obj = TrainingObject(id="o", facts={"f": 0.8, "g": -0.5, "h": 0.6}, label="c")

@@ -294,8 +294,8 @@ class TestGradient:
         probes = []
         original = optimizer.probe_consequent
 
-        def recording(states, rb, rule_id, w):
-            result = original(states, rb, rule_id, w)
+        def recording(states, rb, rule_id, *args):
+            result = original(states, rb, rule_id, *args)
             probes.append((rule_id, len(result[1])))
             return result
 
@@ -1158,6 +1158,55 @@ class TestWalks:
         for st in states:
             obj, steps = st.walk
             assert obj is by_object[st.object_id] and st.threshold == cfg.threshold and steps
+
+    @pytest.mark.parametrize("run", ["gradient", "train_one_iteration", "train_three_iterations"])
+    def test_only_a_descent_probes_through_firing_lists(self, run):
+        # a descent's flat probes take each rule's firing list, compiled from
+        # the walks, and give what the scan gives; every other run scans
+        import cf_forge.optimizer as optimizer
+
+        rb, objects = self.problem()
+        lists = []
+        original = optimizer.probe_consequent
+
+        def recording(states, rb, rule_id, w, fires=None):
+            result = original(states, rb, rule_id, w, fires)
+            if fires is not None:
+                scanned = original(states, rb, rule_id, w)
+                assert (result[1], [cf.hex() for cf in result[2]]) == \
+                    (scanned[1], [cf.hex() for cf in scanned[2]])
+            lists.append(fires)
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "probe_consequent", recording)
+            if run == "gradient":
+                gradient(rb, objects)
+            else:
+                max_iters = 1 if run == "train_one_iteration" else 3
+                train(rb, objects, OptimizerConfig(max_iters=max_iters, step_init=0.01))
+        assert len(lists) == len(rb.rules) * (3 if run == "train_three_iterations" else 1)
+        if run == "train_three_iterations":
+            assert all(fires is not None for fires in lists)
+            assert any(0 < len(fires) < len(objects) for fires in lists)
+        else:
+            assert all(fires is None for fires in lists)
+
+    def test_the_lists_go_with_the_last_gradient(self):
+        rb, objects = self.problem()
+        sess = _Session(rb, objects, OptimizerConfig(max_iters=2, step_init=0.01), margin_metric)
+        held = []  # the rules with a list, as each gradient starts
+        take_gradient = sess.gradient
+
+        def recording(*args):
+            held.append(len(sess.fires))
+            return take_gradient(*args)
+
+        sess.gradient = recording
+        assert sess.fires == {}
+        trace = sess.descend()
+        assert trace.status == "max_iters" and held == [len(rb.rules)] * 2
+        assert sess.fires == {}
 
 
 class TestBench:

@@ -66,3 +66,33 @@ def test_a_result_is_read_from_the_last_line():
 def test_a_run_without_a_correct_result_fails_naming_side_and_seed(stdout, says):
     with pytest.raises(PAIRS["RunFailed"], match="^" + re.escape(says)):
         PAIRS["result_metrics"](stdout, "change", 22)
+
+
+def test_counters_name_each_count_that_differs():
+    per_layer = [
+        {"name": "algebra.combines", "unit": "calls/op", "better": "lower"},
+        {"name": "engine.full_passes", "unit": "passes/op", "better": "lower"},
+        {"name": "engine.rules_fired", "unit": "firings/op", "better": "lower"},
+        {"name": "engine.probe_s", "unit": "s/op", "better": "lower"},
+        {"name": "engine.noop_probe_ratio", "unit": "ratio", "better": "lower"},
+    ]
+    parent = {"algebra.combines": 100.0, "engine.full_passes": 8.0, "engine.rules_fired": 50.0,
+              "engine.probe_s": 0.5, "engine.noop_probe_ratio": 0.1}
+    # times and ratios may differ; counts may not
+    same = dict(parent, **{"engine.probe_s": 0.4, "engine.noop_probe_ratio": 0.2})
+    assert PAIRS["counter_changes"](parent, same, per_layer) == ["counters equal"]
+    moved = dict(same, **{"algebra.combines": 90.0, "engine.rules_fired": 51.0})
+    assert PAIRS["counter_changes"](parent, moved, per_layer) == [
+        "algebra.combines (calls/op): 100.0 -> 90.0",
+        "engine.rules_fired (firings/op): 50.0 -> 51.0",
+    ]
+    # a counter only one side reports differs
+    del moved["engine.full_passes"]
+    assert "engine.full_passes (passes/op): 8.0 -> None" in PAIRS["counter_changes"](parent, moved, per_layer)
+
+
+def test_counters_cover_every_count_unit_the_benchmark_declares():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    units = {m["unit"] for m in spec["per_layer"]}
+    counts = {u for u in units if not u.startswith(("s", "us", "ratio"))}
+    assert counts == set(PAIRS["COUNT_UNITS"])

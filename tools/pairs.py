@@ -2,7 +2,7 @@
 git revision.
 
 Usage: ``python3 tools/pairs.py --against REV --workload W [--pairs 10]
-[--seconds 20] [--seed 21]``
+[--seconds 20] [--seed 21] [--counters]``
 
 REV's committed files are extracted with ``git archive`` into a temporary
 directory, removed at exit.  Each side runs the command that
@@ -13,9 +13,12 @@ odd ones.  For each end-to-end metric of ``BENCHMARK.json`` the tool prints
 REV's median and quartiles, this checkout's median, the relative change of
 the medians beside the metric's bound, a verdict (``WORSE`` when worse by
 more than the bound), and the number of pairs in which this checkout was
-better (a tie counts for neither side).  A run that fails, prints no
-result, or reports ``correct: false`` stops the tool with exit status 1,
-naming the side and the seed.
+better (a tie counts for neither side).  With ``--counters`` each side
+then makes one ``--trace 1`` run at the first seed, and the tool prints
+each per-layer metric counted in calls, passes, firings or rules that
+differs between the sides, or ``counters equal``.  A run that fails,
+prints no result, or reports ``correct: false`` stops the tool with exit
+status 1, naming the side and the seed.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# BENCHMARK.json's per-layer units that count work rather than time it
+COUNT_UNITS = ("calls/op", "count/op", "passes/op", "firings/op", "calls/probe", "calls/pass",
+               "rules/probe")
 
 
 class RunFailed(Exception):
@@ -53,9 +59,10 @@ def result_metrics(stdout: str, side: str, seed: int) -> dict[str, float]:
 
 
 def run_side(root: Path, command: list[str], workload: str, seed: int, seconds: float,
-             side: str) -> dict[str, float]:
+             side: str, trace: int = 0) -> dict[str, float]:
     """One benchmark run from ``root``; its metric values."""
-    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+            "--trace", str(trace)]
     done = subprocess.run(argv, cwd=root, capture_output=True, encoding="utf-8")
     if done.returncode != 0:
         tail = done.stderr.strip().splitlines()[-1:] or ["no error output"]
@@ -104,6 +111,17 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def counter_changes(parent: dict[str, float], change: dict[str, float],
+                    metrics: list[dict]) -> list[str]:
+    """One line per per-layer metric (BENCHMARK.json's ``per_layer``
+    entries) whose unit is in COUNT_UNITS and whose value differs between
+    the traced results; ``["counters equal"]`` when none does."""
+    lines = [f"{m['name']} ({m['unit']}): {parent.get(m['name'])} -> {change.get(m['name'])}"
+             for m in metrics
+             if m["unit"] in COUNT_UNITS and parent.get(m["name"]) != change.get(m["name"])]
+    return lines or ["counters equal"]
+
+
 def extract(rev: str, into: Path) -> None:
     """Write git revision ``rev`` of this repository under ``into``."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
@@ -122,6 +140,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=21)
+    parser.add_argument("--counters", action="store_true",
+                        help="then compare the work counters of one traced run per side")
     args = parser.parse_args(argv[1:])
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -140,12 +160,17 @@ def main(argv: list[str]) -> int:
                     results.append(run_side(root, spec["command"], args.workload, seed,
                                             args.seconds, side))
                 print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr, flush=True)
+            traced = [run_side(root, spec["command"], args.workload, args.seed, args.seconds, side,
+                               trace=1) for side, root, _ in sides if args.counters]
         except RunFailed as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
     print(f"{args.workload}: {args.pairs} alternating pairs, --seconds {args.seconds:g}, "
           f"seeds {args.seed}-{args.seed + args.pairs - 1}, parent {args.against}")
     print(format_rows(summarize(parent, change, spec["end_to_end"])))
+    if traced:
+        print(f"traced counters at seed {args.seed}, parent -> change:")
+        print("\n".join(counter_changes(*traced, spec["per_layer"])))
     return 0
 
 
